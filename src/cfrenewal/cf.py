@@ -75,6 +75,16 @@ class DigitSequence:
             raise IndexError(f"index {k} outside window {self.indices}")
         return self.digits[k - self.index_origin]
 
+    @property
+    def plus_digits(self) -> tuple[int, ...]:
+        """Digits at indices >= 1, in increasing index order."""
+        return self.digits[max(0, 1 - self.index_origin):]
+
+    @property
+    def minus_digits(self) -> tuple[int, ...]:
+        """Digits at indices <= 0, ordered (a_0, a_-1, ...)."""
+        return tuple(reversed(self.digits[: max(0, 1 - self.index_origin)]))
+
 
 @dataclass(frozen=True)
 class Convergent:

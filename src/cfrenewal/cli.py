@@ -64,7 +64,6 @@ class RunConfig:
 
     command: str
     seed: int = 0
-    precision_bits: int = 4096
     samples: int = 0
     R_list: tuple[float, ...] = ()
     N: int = 0
@@ -79,7 +78,7 @@ class RunConfig:
     out_path: str = ""
 
     def __post_init__(self) -> None:
-        if self.samples < 0 or self.N < 0 or self.precision_bits < 8:
+        if self.samples < 0 or self.N < 0:
             raise ValueError("numeric config fields must be positive")
         if self.constraints and len(self.constraints) != self.N:
             raise ValueError("N must equal the number of digit constraints")

@@ -38,7 +38,7 @@ class InvalidDigits(CFRenewalError):
 
 
 class InvalidBins(CFRenewalError):
-    """Ratio bin edges are not sorted, or do not start at 1."""
+    """A table's bins are malformed: bad ratio edges, or a broken CSV layout."""
 
 
 class InvalidSampleCount(CFRenewalError):

@@ -96,16 +96,6 @@ class FixedReal:
         hi = _ceil_div(s + 1 - (1 << bits), 2)
         return cls._from_bounds(lo, hi, bits)
 
-    @classmethod
-    def from_mpf(cls, value, bits: int = DEFAULT_BITS) -> "FixedReal":
-        """Enclosure of an mpmath value (evaluated to ``bits`` precision)."""
-        from mpmath import mp, mpf
-
-        with mp.workprec(bits + 16):
-            scaled = mpf(value) * (1 << bits)
-            lo = int(scaled)  # truncates toward zero; values here are positive
-        return cls._from_bounds(lo, lo + 1, bits)
-
     # -- views ---------------------------------------------------------
 
     @property

@@ -24,8 +24,6 @@ from .cf import renewal_index
 from .errors import InsufficientDigits
 from .gauss import NaturalExtPoint
 
-LN2 = math.log(2.0)
-
 
 def roof_phi(p: NaturalExtPoint) -> float:
     """Roof value ln(a_1 + alpha_minus).

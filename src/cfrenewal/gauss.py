@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cf import convergents
+from .cf import DigitSequence, convergents
 from .errors import (
     InsufficientDigits,
     InvalidDigits,
@@ -72,15 +72,25 @@ def _eval_digits(digits: Sequence[int], tail: Optional[FixedReal]) -> float:
     return float(x)
 
 
-def _euclid_window(x: Fraction, depth: int) -> tuple[list[int], Optional[Fraction]]:
-    """Up to ``depth`` exact digits of a rational x in (0,1), plus remainder."""
-    num, den = x.numerator, x.denominator
+def float_window(
+    x: float, depth: int = 32
+) -> tuple[tuple[int, ...], Optional[FixedReal]]:
+    """Up to ``depth`` exact digits of a binary64 x in (0,1), plus a certified tail.
+
+    The value is the exact dyadic rational it denotes; the Euclidean
+    remainder after the window becomes the tail (None if x terminates
+    within the window), so the digits and tail evaluate back to x
+    bit-for-bit.
+    """
+    frac = Fraction(x)
+    num, den = frac.numerator, frac.denominator
     out: list[int] = []
     while len(out) < depth and num:
         a, rem = divmod(den, num)
         out.append(a)
         num, den = rem, num
-    return out, (Fraction(num, den) if num else None)
+    tail = FixedReal.from_fraction(Fraction(num, den), _TAIL_BITS) if num else None
+    return tuple(out), tail
 
 
 @dataclass(frozen=True)
@@ -120,30 +130,9 @@ class NaturalExtPoint:
         """
         if not (0.0 < alpha_minus < 1.0 and 0.0 < alpha_plus < 1.0):
             raise ValueError("coordinates must lie in (0, 1)")
-        b, brem = _euclid_window(Fraction(alpha_minus), depth)
-        f, frem = _euclid_window(Fraction(alpha_plus), depth)
-        return cls(
-            bwd=tuple(b),
-            fwd=tuple(f),
-            minus_tail=None if brem is None else FixedReal.from_fraction(brem, _TAIL_BITS),
-            plus_tail=None if frem is None else FixedReal.from_fraction(frem, _TAIL_BITS),
-        )
-
-    @classmethod
-    def from_reals(
-        cls, alpha_minus: FixedReal, alpha_plus: FixedReal, depth: int = 32
-    ) -> "NaturalExtPoint":
-        """Point from certified enclosures; digits are extracted exactly."""
-        def take(x: FixedReal) -> tuple[list[int], FixedReal]:
-            digs = []
-            while len(digs) < depth:
-                a, x = x.floor_recip()
-                digs.append(a)
-            return digs, x
-
-        b, btail = take(alpha_minus)
-        f, ftail = take(alpha_plus)
-        return cls(tuple(b), tuple(f), btail, ftail)
+        bwd, minus_tail = float_window(alpha_minus, depth)
+        fwd, plus_tail = float_window(alpha_plus, depth)
+        return cls(bwd, fwd, minus_tail, plus_tail)
 
     @classmethod
     def golden(cls, depth: int = 48, bits: int = 256) -> "NaturalExtPoint":
@@ -254,16 +243,6 @@ def gauss_map(x: Union[float, Fraction, FixedReal]):
     return out
 
 
-def natural_extension_step(p: NaturalExtPoint) -> NaturalExtPoint:
-    """(am, ap) -> (1/(a_1 + am), {1/ap}); conjugate to the Gauss map."""
-    return p.step()
-
-
-def natural_extension_inverse(p: NaturalExtPoint) -> NaturalExtPoint:
-    """Exact inverse of the extension step (round-trips to the same point)."""
-    return p.inverse()
-
-
 # -- invariant measures and samplers -----------------------------------
 
 
@@ -350,13 +329,8 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
     """
     if size is None:
         y0, digs = sample_mu2_window(rng, depth)
-        bwd, brem = _euclid_window(Fraction(y0), 32)
-        return NaturalExtPoint(
-            bwd=tuple(bwd),
-            fwd=digs,
-            minus_tail=None if brem is None else FixedReal.from_fraction(brem, _TAIL_BITS),
-            plus_tail=None,
-        )
+        bwd, minus_tail = float_window(y0)
+        return NaturalExtPoint(bwd, digs, minus_tail)
     plus = sample_mu1(rng, size)
     v = rng.random(size)
     minus = v / (1.0 + plus * (1.0 - v))
@@ -366,55 +340,20 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
 # -- cylinders ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of points whose digits match a prescribed window.
+class Cylinder(DigitSequence):
+    """The set of points whose digits match a prescribed, non-empty window.
 
     One-sided cylinders (index_origin 1) constrain numbers in (0,1);
     two-sided cylinders constrain points of the invertible extension
     over a contiguous index range that may include non-positive indices.
     """
 
-    digits: tuple[int, ...]
-    index_origin: int = 1
-    side: str = "one"
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(int(a) for a in self.digits))
         if not self.digits:
             raise InvalidDigits("cylinder needs at least one digit constraint")
-        if any(a < 1 for a in self.digits):
+        if any(int(a) < 1 for a in self.digits):
             raise InvalidDigits("digit constraints must be positive")
-        if self.side not in ("one", "two"):
-            raise ValueError("side must be 'one' or 'two'")
-        if self.side == "one" and self.index_origin != 1:
-            raise ValueError("one-sided cylinders start at index 1")
-
-    @classmethod
-    def one_sided(cls, digits: Sequence[int]) -> "Cylinder":
-        return cls(tuple(digits), 1, "one")
-
-    @classmethod
-    def two_sided(cls, digits: Sequence[int], index_origin: int) -> "Cylinder":
-        return cls(tuple(digits), index_origin, "two")
-
-    @property
-    def indices(self) -> range:
-        return range(self.index_origin, self.index_origin + len(self.digits))
-
-    @property
-    def plus_digits(self) -> tuple[int, ...]:
-        """Constraints at indices >= 1, in increasing index order."""
-        start = max(1, self.index_origin) - self.index_origin
-        return self.digits[start:] if start < len(self.digits) else ()
-
-    @property
-    def minus_digits(self) -> tuple[int, ...]:
-        """Constraints at indices <= 0, ordered (b_0, b_-1, ...)."""
-        stop = min(0, self.index_origin + len(self.digits) - 1) - self.index_origin
-        if stop < 0:
-            return ()
-        return tuple(reversed(self.digits[: stop + 1]))
+        super().__post_init__()
 
 
 def interval_for_digits(digits: Sequence[int]) -> tuple[Fraction, Fraction]:
@@ -440,7 +379,7 @@ def interval_for_digits(digits: Sequence[int]) -> tuple[Fraction, Fraction]:
 
 def cylinder_interval(c: Cylinder) -> tuple[Fraction, Fraction]:
     """Exact endpoints of a one-sided cylinder."""
-    if c.side != "one":
+    if c.sided != "one":
         raise ValueError("cylinder_interval needs a one-sided cylinder")
     return interval_for_digits(c.digits)
 
@@ -474,7 +413,7 @@ def cylinder_measure(
     """
     if which not in ("mu1", "mu2"):
         raise ValueError("which must be 'mu1' or 'mu2'")
-    if c.side == "one" or not c.minus_digits:
+    if c.sided == "one" or not c.minus_digits:
         lo, hi = interval_for_digits(c.plus_digits)
         return _mu1_interval_mass(lo, hi)
     if which == "mu1":

@@ -46,11 +46,10 @@ from .errors import (
     InvalidSampleCount,
     QuadratureFailure,
 )
-from .gauss import interval_for_digits, sample_digit_given_state, sample_mu1
-from .quadrature import mapped_nodes
+from .gauss import LN2, interval_for_digits, sample_digit_given_state, sample_mu1
+from .quadrature import integrate_1d, mapped_nodes
 from .streams import CHUNK, chunk_sizes, substream
 
-LN2 = math.log(2.0)
 LEVY_CONSTANT = math.pi**2 / (12.0 * LN2)
 
 
@@ -63,7 +62,6 @@ class QuadratureSpec:
 
     gauss_order: int = 40
     max_a1: int = 10000
-    subdivisions: int = 1
     target_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -71,40 +69,12 @@ class QuadratureSpec:
             raise ValueError("gauss_order must be >= 2")
         if self.max_a1 < 2:
             raise ValueError("max_a1 must be >= 2")
-        if self.subdivisions < 1:
-            raise ValueError("subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error: float
-
-
-def region_fiber_length(phi_val, ln_a: float, ln_b: float):
-    """Length of the part of a fiber at roof-distance between ln_a and ln_b.
-
-    For a fiber of height phi this is min(phi, ln_b) - min(phi, ln_a):
-    zero when phi <= ln_a, phi - ln_a in the middle branch, and the full
-    ln_b - ln_a once phi > ln_b.  Vectorized in phi_val.
-    """
-    if not 0.0 <= ln_a < ln_b:
-        raise ValueError("need 0 <= ln_a < ln_b")
-    phi_arr = np.asarray(phi_val, dtype=float)
-    out = np.minimum(phi_arr, ln_b) - np.minimum(phi_arr, ln_a)
-    return float(out) if out.ndim == 0 else out
-
-
-def _gl_sum(f, a: float, b: float, order: int, pieces: int) -> float:
-    """Gauss-Legendre integral of vectorized f over [a, b] in equal pieces."""
-    if b <= a:
-        return 0.0
-    total = 0.0
-    edges = np.linspace(a, b, pieces + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = mapped_nodes(float(lo), float(hi), order)
-        total += float(np.dot(w, f(x)))
-    return total
 
 
 def _strip_weight_integrals(ks: np.ndarray, order: int) -> np.ndarray:
@@ -199,10 +169,8 @@ def _capped_phi_integral(ln_a: float, spec: QuadratureSpec) -> tuple[float, floa
             u = k + x
             return np.log(u) / (u * (u + 1.0))
 
-        fine = _gl_sum(rising, 0.0, x_cap, spec.gauss_order, spec.subdivisions)
-        coarse = _gl_sum(
-            rising, 0.0, x_cap, max(2, spec.gauss_order // 2), spec.subdivisions
-        )
+        fine = integrate_1d(rising, 0.0, x_cap, spec.gauss_order)
+        coarse = integrate_1d(rising, 0.0, x_cap, max(2, spec.gauss_order // 2))
         total += fine
         err += abs(fine - coarse)
         # mass of [x_cap, 1] inside strip k_cap: F(1) - F(x_cap) with
@@ -253,8 +221,8 @@ def _digit_rectangle_integral(
         def rising(x):
             return (np.log(c0 + x) - ln_a) * weight(x)
 
-        fine = _gl_sum(rising, lo, hi, spec.gauss_order, spec.subdivisions)
-        coarse = _gl_sum(rising, lo, hi, max(2, spec.gauss_order // 2), spec.subdivisions)
+        fine = integrate_1d(rising, lo, hi, spec.gauss_order)
+        coarse = integrate_1d(rising, lo, hi, max(2, spec.gauss_order // 2))
         total += fine
         err += abs(fine - coarse)
     if math.isfinite(ln_b) and b - c0 < v1:
@@ -335,6 +303,9 @@ def digit_tuple_list(N: int, digit_range: int) -> list:
     if N == 0:
         return [()]
     return [t for t in product(range(1, digit_range + 1), repeat=N)] + [None]
+
+
+_CSV_HEADER = ["digits", "ratio_lo", "ratio_hi", "mass", "error"]
 
 
 @dataclass(frozen=True)
@@ -449,7 +420,7 @@ class DistributionTable:
         buf.write(f"# edges={','.join(repr(e) for e in self.ratio_bin_edges)}\n")
         buf.write(f"# has_error={self.error is not None}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["digits", "ratio_lo", "ratio_hi", "mass", "error"])
+        writer.writerow(_CSV_HEADER)
         for i, t in enumerate(self.digit_tuples):
             label = "other" if t is None else "-".join(map(str, t)) or "()"
             for j in range(self.n_ratio_bins):
@@ -467,6 +438,7 @@ class DistributionTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistributionTable":
+        """Inverse of to_csv, in one pass; InvalidBins names a malformed part."""
         meta = {}
         rows = []
         for line in text.splitlines():
@@ -476,40 +448,44 @@ class DistributionTable:
             elif line:
                 rows.append(line)
         reader = csv.reader(rows)
-        header = next(reader)
-        assert header[0] == "digits"
-        edges = tuple(float(e) for e in meta["edges"].split(","))
-        tuples: list = []
-        cells: dict = {}
-        errs: dict = {}
-        for label, lo, hi, mass, err in reader:
-            t = (
-                None
-                if label == "other"
-                else () if label == "()" else tuple(int(x) for x in label.split("-"))
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise InvalidBins(
+                f"CSV header must be {','.join(_CSV_HEADER)}, got {header}"
             )
-            if t not in tuples:
-                tuples.append(t)
-            j = len([x for x in cells if x[0] == t])
-            cells[(t, j)] = float(mass)
-            if err:
-                errs[(t, j)] = float(err)
-        n_bins = len(edges)
-        mass = np.array(
-            [[cells[(t, j)] for j in range(n_bins)] for t in tuples], dtype=float
+        required = {"sample_count", "R_used", "rejected", "seed", "edges"}
+        missing = sorted(required - meta.keys())
+        if missing:
+            raise InvalidBins(f"CSV metadata lacks {', '.join(missing)}")
+        edges = tuple(float(e) for e in meta["edges"].split(","))
+        # label -> (masses, errors), in order of first appearance
+        cells: dict[str, tuple[list, list]] = {}
+        for label, _lo, _hi, mass, err in reader:
+            masses, errs = cells.setdefault(label, ([], []))
+            masses.append(float(mass))
+            errs.append(float(err) if err else 0.0)
+        for label, (masses, _) in cells.items():
+            if len(masses) != len(edges):
+                raise InvalidBins(
+                    f"digit tuple {label} has {len(masses)} rows, expected {len(edges)}"
+                )
+        tuples = tuple(
+            None
+            if label == "other"
+            else () if label == "()" else tuple(int(x) for x in label.split("-"))
+            for label in cells
         )
+        mass = np.array([masses for masses, _ in cells.values()], dtype=float)
         error = None
         if meta.get("has_error") == "True":
-            error = np.array(
-                [[errs.get((t, j), 0.0) for j in range(n_bins)] for t in tuples]
-            )
+            error = np.array([errs for _, errs in cells.values()], dtype=float)
 
         def parse(v):
             return None if v == "None" else float(v)
 
         return cls(
             ratio_bin_edges=edges,
-            digit_tuples=tuple(tuples),
+            digit_tuples=tuples,
             mass=mass,
             sample_count=int(meta["sample_count"]),
             R_used=parse(meta["R_used"]),

@@ -26,38 +26,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSampleCount, OutOfChart, Unreachable
-from .fixedreal import FixedReal
-from .flow import FlowPoint, roof_phi
-from .gauss import NaturalExtPoint, _euclid_window, sample_mu2
+from .flow import FlowPoint, flow_evolve, roof_phi
+from .gauss import NaturalExtPoint, float_window, sample_mu2
 from .streams import CHUNK, chunk_sizes, substream
-
-_TAIL_BITS = 192
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
-    b, brem = _euclid_window(Fraction(new_minus), 32)
-    return NaturalExtPoint(
-        bwd=tuple(b),
-        fwd=p.fwd,
-        minus_tail=None if brem is None else FixedReal.from_fraction(brem, _TAIL_BITS),
-        plus_tail=p.plus_tail,
-    )
+    bwd, minus_tail = float_window(new_minus)
+    return NaturalExtPoint(bwd, p.fwd, minus_tail, p.plus_tail)
 
 
 def _replace_plus(p: NaturalExtPoint, new_plus: float) -> NaturalExtPoint:
-    f, frem = _euclid_window(Fraction(new_plus), 32)
-    return NaturalExtPoint(
-        bwd=p.bwd,
-        fwd=tuple(f),
-        minus_tail=p.minus_tail,
-        plus_tail=None if frem is None else FixedReal.from_fraction(frem, _TAIL_BITS),
-    )
+    fwd, plus_tail = float_window(new_plus)
+    return NaturalExtPoint(p.bwd, fwd, p.minus_tail, plus_tail)
 
 
 def stable_leaf_point(base: FlowPoint, alpha_minus_new: float) -> FlowPoint:
@@ -164,19 +149,6 @@ def connect_via_leaves(
 # -- contraction under the flow ----------------------------------------
 
 
-def _evolve_counting(fp: FlowPoint, t: float) -> tuple[FlowPoint, int]:
-    """Forward evolution by t >= 0, also counting roof crossings."""
-    base, y = fp.base, fp.height + t
-    n = 0
-    while True:
-        phi = roof_phi(base)
-        if y < phi:
-            return FlowPoint(base, y), n
-        y -= phi
-        base = base.step()
-        n += 1
-
-
 def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
     """Coordinate distance of two orbits at time t, itinerary-aligned.
 
@@ -187,8 +159,11 @@ def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    q1, n1 = _evolve_counting(fp1, t)
-    q2, n2 = _evolve_counting(fp2, t)
+    q1 = flow_evolve(fp1, t)
+    q2 = flow_evolve(fp2, t)
+    # each step() prepends one past digit, so crossings = growth of bwd
+    n1 = len(q1.base.bwd) - len(fp1.base.bwd)
+    n2 = len(q2.base.bwd) - len(fp2.base.bwd)
 
     def coords(fp: FlowPoint, extra: int) -> tuple[float, float, float]:
         base, y = fp.base, fp.height

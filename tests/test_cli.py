@@ -6,7 +6,7 @@ import math
 import pytest
 
 from cfrenewal.cli import main
-from cfrenewal.limitlaw import DistributionTable, theoretical_pn
+from cfrenewal.limitlaw import DistributionTable, theoretical_pn, theoretical_table
 
 # fractional part of pi, to 14 places; digits 7 15 1 292 1 ...
 PI_FRAC = "0.14159265358979"
@@ -273,6 +273,26 @@ def test_compare_writes_overlay(tmp_path, capsys):
     last = lines[-1].split(",")
     assert last[1] == "inf"  # overflow bin reaches the end of the line
     assert len(lines) == 22  # header + 20 bins + overflow
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("\ndigits,", "\nlabel,"), "CSV header must be"),
+        (lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+         "digit tuple other has 2 rows, expected 3"),
+        (lambda text: text.replace("# edges=", "# egdes="), "CSV metadata lacks edges"),
+    ],
+    ids=["wrong_header", "missing_row", "missing_metadata"],
+)
+def test_compare_reports_a_malformed_csv_table(tmp_path, capsys, edit, message):
+    good = theoretical_table(N=1, bins=(1.0, 1.5, 2.0), digit_range=2).to_csv()
+    theo = tmp_path / "theory.csv"
+    theo.write_text(good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(edit(good))
+    assert main(["compare", str(bad), str(theo)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # -- flow and mixing ---------------------------------------------------

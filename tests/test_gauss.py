@@ -21,8 +21,6 @@ from cfrenewal.gauss import (
     interval_for_digits,
     mu1_cdf,
     mu2_density,
-    natural_extension_inverse,
-    natural_extension_step,
     sample_mu1,
     sample_mu2,
     sample_mu2_window,
@@ -81,10 +79,10 @@ def test_silver_point_is_fixed_by_the_shift():
 
 def test_step_of_golden_and_pi_point():
     p = NaturalExtPoint.from_values(GOLDEN, math.pi - 3)
-    s = natural_extension_step(p)
+    s = p.step()
     assert s.alpha_minus == pytest.approx(0.13126746368902695, abs=1e-15)
     assert s.alpha_plus == pytest.approx(0.06251330593105209, abs=1e-15)
-    back = natural_extension_inverse(s)
+    back = s.inverse()
     assert back.alpha_minus == p.alpha_minus
     assert back.alpha_plus == p.alpha_plus
 
