@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .errors import InsufficientDigits, RationalInput, TrailingUnderflow
+from .errors import (
+    InsufficientDigits,
+    PrecisionExhausted,
+    RationalInput,
+    TrailingUnderflow,
+)
 from .fixedreal import FixedReal
 
 RealLike = Union[float, Fraction, FixedReal]
@@ -271,7 +276,8 @@ def log_q(digits: Union[DigitSequence, Sequence[int]], n: int) -> float:
     Route one takes the logarithm of the exact integer q_n.  Route two
     sums ln(a_k + y_{k-1}) over the reversed-quotient chain, which
     telescopes to the same number.  The two must agree to 1e-12
-    relative; disagreement would mean a numeric fault, so it is asserted.
+    relative; disagreement would mean a numeric fault, and raises
+    PrecisionExhausted.
     """
     ds = _digit_tuple(digits)
     if not (1 <= n <= len(ds)):
@@ -282,7 +288,6 @@ def log_q(digits: Union[DigitSequence, Sequence[int]], n: int) -> float:
     direct = math.log(q_cur)
     ys = reversed_quotient_chain(ds[:n])
     chain = math.fsum(math.log(a + y) for a, y in zip(ds[:n], ys[:-1]))
-    assert abs(direct - chain) <= 1e-12 * max(1.0, abs(direct)), (
-        f"log q_n routes disagree: {direct} vs {chain}"
-    )
+    if not abs(direct - chain) <= 1e-12 * max(1.0, abs(direct)):
+        raise PrecisionExhausted(f"log q_n routes disagree: {direct} vs {chain}")
     return direct

@@ -379,7 +379,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IncompatibleTables as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CFRenewalError, ValueError) as exc:
+    except (CFRenewalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

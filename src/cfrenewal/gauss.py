@@ -280,11 +280,17 @@ def sample_digit_given_state(rng: np.random.Generator, y):
     is k = ceil((1+y)/(1-u) - 1 - y), floored at 1.
     """
     y_arr = np.asarray(y, dtype=float)
-    u = rng.random(y_arr.shape if y_arr.ndim else None)
-    k = np.ceil((1.0 + y_arr) / (1.0 - u) - 1.0 - y_arr)
-    k = np.maximum(k, 1.0)
     if y_arr.ndim == 0:
-        return int(k)
+        yf, u = float(y_arr), rng.random()
+        return max(math.ceil((1.0 + yf) / (1.0 - u) - 1.0 - yf), 1)
+    # in place: fresh lane-sized arrays dominate the cost of a chain step
+    k = rng.random(y_arr.shape)
+    np.subtract(1.0, k, out=k)
+    np.divide(1.0 + y_arr, k, out=k)
+    k -= 1.0
+    k -= y_arr
+    np.ceil(k, out=k)
+    np.maximum(k, 1.0, out=k)
     return k.astype(np.int64)
 
 

@@ -390,6 +390,9 @@ class DistributionTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistributionTable":
+        missing = [k for k in ("ratio_bin_edges", "digit_tuples", "mass") if k not in d]
+        if missing:
+            raise InvalidBins(f"JSON table lacks {', '.join(missing)}")
         tuples = tuple(
             None if t == "other" else tuple(t) for t in d["digit_tuples"]
         )
@@ -523,9 +526,9 @@ def _renewal_chunk(
 ) -> tuple[np.ndarray, int]:
     """Histogram of one chunk of renewal draws, plus its rejected count.
 
-    The digit chain runs in doubles; denominators are exact in binary64
-    until the crossing step, which is decided far from the rounding
-    scale of q (R is at most 1e12 while doubles are exact to 9e15).
+    The digit chain runs in doubles.  Denominators below 2**53 are exact
+    in binary64 and larger ones round to at least 2**53, so for R below
+    2**53 (which empirical_pn enforces) the crossing step is exact.
     """
     y = sample_mu1(rng, m)
     q_prev = np.zeros(m)
@@ -590,12 +593,13 @@ def empirical_pn(
     substreams of ``seed``, so results are bit-identical for a given
     seed regardless of worker count.  Samples whose crossing comes
     before N digits exist are counted as rejected; more than
-    ``max_rejected_fraction`` of them aborts the run.
+    ``max_rejected_fraction`` of them aborts the run.  R must lie in
+    [10, 2**53), where float denominators decide the crossing exactly.
     """
     if M < 1:
         raise InvalidSampleCount("M must be positive")
-    if R < 10:
-        raise ValueError("R must be at least 10")
+    if not 10 <= R < 2**53:
+        raise ValueError(f"R must lie in [10, 2**53), got {R}")
     if N < 0:
         raise ValueError("N must be non-negative")
     edges = np.asarray(_check_edges(bins if bins is not None else default_ratio_edges()))

@@ -19,7 +19,11 @@ measure-zero obstruction surface.  The chain's middle corner solves the
 leaf equations in closed form.
 
 Correlation decay of the flow is estimated by importance-weighted Monte
-Carlo over boxes (cylinder sets crossed with height windows).
+Carlo over boxes (cylinder sets crossed with height windows).  Each
+sampled orbit runs on the exact conditional digit chain of ``gauss``:
+every digit it meets is a chain draw, never a digit read off a float
+iterate of the Gauss map, so the estimate is exact in law at any flow
+time.
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ import numpy as np
 
 from .errors import InvalidSampleCount, OutOfChart, Unreachable
 from .flow import FlowPoint, flow_evolve, roof_phi
-from .gauss import NaturalExtPoint, float_window, sample_mu2
+from .gauss import (
+    NaturalExtPoint,
+    float_window,
+    sample_digit_given_state,
+    sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
+    sample_mu2_window,
+)
 from .streams import CHUNK, chunk_sizes, substream
 
 
@@ -213,16 +223,6 @@ class CorrelationEstimate:
     samples: int
 
 
-def _first_two_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized first two digits of x, plus the once-shifted value."""
-    inv = 1.0 / x
-    a1 = np.floor(inv)
-    frac = inv - a1
-    frac = np.where(frac <= 0.0, 0.5, frac)  # dodge exact-rational floats
-    a2 = np.floor(1.0 / frac)
-    return a1.astype(np.int64), a2.astype(np.int64), frac
-
-
 def _box_membership(
     box: BoxSpec,
     a1: np.ndarray,
@@ -247,56 +247,37 @@ def _box_membership(
 def _correlation_chunk(
     rng: np.random.Generator, m: int, A: BoxSpec, B: BoxSpec, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated first and second moments of z = (w, w*ab, w*a, w*b)."""
-    minus, plus = sample_mu2(rng, size=m)
-    # draws of exactly 0.0 occur with probability 2**-53 per sample; nudge
-    plus = np.where(plus <= 0.0, 0.5, plus)
-    minus = np.where(minus <= 0.0, 0.5, minus)
-    a1, a2, _ = _first_two_digits(plus)
-    d0, d1, _ = _first_two_digits(minus)
-    phi = np.log(a1 + minus)
-    w = phi.copy()
-    y = rng.random(m) * phi
-    b_ind = _box_membership(B, a1, a2, d0, d1, y)
+    """Accumulated first and second moments of z = (w, w*ab, w*a, w*b).
 
-    # flow every sample forward by t, tracking the two newest past digits
-    y_t = y + t
-    fin_minus = minus.copy()
-    fin_plus = plus.copy()
-    fin_y = y_t.copy()
-    fin_d0 = d0.copy()
-    fin_d1 = d1.copy()
+    Each lane starts from a Gauss-distributed state two digits in the
+    past and the chain's next four digits (a_-1, a_0, a_1, a_2); each
+    roof crossing shifts the window and draws one more future digit.
+    """
+    y, digs = sample_mu2_window(rng, 4, size=m)
+    d1, d0, a1, a2 = digs.T
+    s = a1 + 1.0 / (d0 + 1.0 / (d1 + y))  # a_1 + alpha_minus
+    phi = np.log(s)
+    w = phi
+    h = rng.random(m) * phi
+    b_ind = _box_membership(B, a1, a2, d0, d1, h)
+
+    # flow every lane forward by t; A-membership is read where a lane stops
+    a_ind = np.empty(m, dtype=bool)
+    h = h + t
     alive = np.arange(m)
-    cur_minus, cur_plus, cur_y = minus, plus, y_t
-    cur_a1, cur_d0, cur_d1 = a1, d0, d1
     while alive.size:
-        phi_cur = np.log(cur_a1 + cur_minus)
-        over = cur_y >= phi_cur
-        done = ~over
-        idx = alive[done]
-        fin_minus[idx] = cur_minus[done]
-        fin_plus[idx] = cur_plus[done]
-        fin_y[idx] = cur_y[done]
-        fin_d0[idx] = cur_d0[done]
-        fin_d1[idx] = cur_d1[done]
+        over = h >= phi
+        stop = ~over
+        a_ind[alive[stop]] = _box_membership(A, a1, a2, d0, d1, h)[stop]
         alive = alive[over]
-        if not alive.size:
-            break
-        am = cur_minus[over]
-        ap = cur_plus[over]
-        aa = cur_a1[over]
-        cur_y = cur_y[over] - phi_cur[over]
-        cur_d1 = cur_d0[over]
-        cur_d0 = aa
-        cur_minus = 1.0 / (aa + am)
-        inv = 1.0 / ap
-        frac = inv - np.floor(inv)
-        frac = np.where(frac <= 0.0, 0.5, frac)
-        cur_plus = frac
-        cur_a1 = np.floor(1.0 / frac).astype(np.int64)
-
-    fa1, fa2, _ = _first_two_digits(fin_plus)
-    a_ind = _box_membership(A, fa1, fa2, fin_d0, fin_d1, fin_y)
+        h = h[over] - phi[over]
+        d1 = d0[over]
+        d0 = a1[over]
+        a1 = a2[over]
+        # the new alpha_minus 1/s is the chain state that drew a1
+        s = a1 + 1.0 / s[over]
+        a2 = sample_digit_given_state(rng, 1.0 / s)
+        phi = np.log(s)
 
     z = np.empty((m, 4))
     z[:, 0] = w
@@ -324,8 +305,8 @@ def correlation_estimate(
     """
     if M < 1:
         raise InvalidSampleCount("M must be positive")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     m1 = np.zeros(4)
     m2 = np.zeros((4, 4))
     for idx, m in enumerate(chunk_sizes(M, chunk)):

@@ -16,7 +16,13 @@ from cfrenewal.cf import (
     renewal_index,
     reversed_quotient_chain,
 )
-from cfrenewal.errors import InsufficientDigits, RationalInput, TrailingUnderflow
+from cfrenewal import cf
+from cfrenewal.errors import (
+    InsufficientDigits,
+    PrecisionExhausted,
+    RationalInput,
+    TrailingUnderflow,
+)
 
 digit_tuples = st.lists(
     st.integers(min_value=1, max_value=50), min_size=1, max_size=25
@@ -114,6 +120,18 @@ def test_log_q_matches_exact_denominator():
     digits = (7, 15, 1, 292, 1, 1, 1, 2)
     q = convergents(digits)[-1].q
     assert log_q(digits, 8) == pytest.approx(math.log(q), rel=1e-14)
+
+
+def test_log_q_raises_when_its_two_routes_disagree(monkeypatch):
+    def perturbed(digits):
+        ys = reversed_quotient_chain(digits)
+        ys[1] *= 1.0 + 1e-6
+        return ys
+
+    monkeypatch.setattr(cf, "reversed_quotient_chain", perturbed)
+    direct = math.log(convergents((7, 15, 1, 292))[-1].q)
+    with pytest.raises(PrecisionExhausted, match=f"disagree: {direct!r} vs "):
+        log_q((7, 15, 1, 292), 4)
 
 
 def test_reversed_quotient_chain_entries():

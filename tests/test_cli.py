@@ -134,6 +134,12 @@ def test_simulate_budget_failure_exits_three(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_infinite_threshold(tmp_path, capsys):
+    code = main(["simulate", "--R", "inf", "--M", "100", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "error: R must lie in [10, 2**53), got inf" in capsys.readouterr().err
+
+
 def test_simulate_output_is_deterministic(tmp_path, capsys):
     # identical flags give byte-identical files (the embedded config
     # includes the output path, so the directory must match too)
@@ -293,6 +299,21 @@ def test_compare_reports_a_malformed_csv_table(tmp_path, capsys, edit, message):
     bad.write_text(edit(good))
     assert main(["compare", str(bad), str(theo)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_compare_reports_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "nonexist.json"
+    assert main(["compare", str(missing), str(missing)]) == 1
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_compare_reports_a_json_table_without_digit_tuples(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"table": {"ratio_bin_edges": [1.0, 2.0]}}))
+    assert main(["compare", str(bad), str(bad)]) == 1
+    assert "error: JSON table lacks digit_tuples, mass" in capsys.readouterr().err
 
 
 # -- flow and mixing ---------------------------------------------------

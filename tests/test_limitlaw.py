@@ -165,6 +165,13 @@ def test_sampler_input_validation():
         empirical_pn(R=5.0, M=100)
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan, 2.0**53])
+def test_sampler_rejects_thresholds_beyond_exact_doubles(R):
+    # the chain's float denominators decide the crossing exactly only below 2**53
+    with pytest.raises(ValueError, match="R must lie in"):
+        empirical_pn(R=R, M=100)
+
+
 def test_sampled_law_approaches_quadrature():
     emp = empirical_pn(R=1e6, M=200000, seed=3)
     theo = theoretical_table()

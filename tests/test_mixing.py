@@ -215,6 +215,13 @@ def test_correlation_input_validation():
         correlation_estimate(A, A, t=-1.0, M=100)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_correlation_rejects_non_finite_time(t):
+    A = BoxSpec(plus_digits=(1,))
+    with pytest.raises(ValueError, match="finite"):
+        correlation_estimate(A, A, t=t, M=100)
+
+
 def test_correlation_is_deterministic_in_seed():
     A = BoxSpec(plus_digits=(1,), y_hi=0.4)
     B = BoxSpec(plus_digits=(2,), y_hi=0.5)
@@ -253,3 +260,14 @@ def test_correlation_masses_match_cylinder_measure():
     want = theoretical_pn(1.0, math.inf, (1,))
     assert c.mass_A == pytest.approx(want, abs=5 * c.stderr + 0.005)
     assert c.value == pytest.approx(c.mass_A * (1 - c.mass_A), abs=0.01)
+
+
+@pytest.mark.parametrize("t", [0.0, 20.0])
+def test_box_with_past_digits_keeps_its_quadrature_mass_along_the_flow(t):
+    # mu3{a_1 = 1, a_0 = 2, a_-1 = 1} is the limit-law mass of the trailing
+    # window (1, 2, 1), and the flow preserves mu3
+    A = BoxSpec(plus_digits=(1,), minus_digits=(2, 1))
+    M = 400_000
+    c = correlation_estimate(A, A, t, M=M)
+    want = theoretical_pn(1.0, math.inf, (1, 2, 1))
+    assert abs(c.mass_A - want) <= 5 * math.sqrt(want * (1 - want) / M)
