@@ -244,6 +244,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t!r}")
     rng = substream(args.seed, 0)
     depth = max(64, int(3 * args.t) + 16)
     point = sample_mu2(rng, depth=depth)

@@ -94,8 +94,8 @@ def correction_f(p: NaturalExtPoint, tol: float = 1e-9) -> CorrectionSeries:
 
 def renewal_time(p: NaturalExtPoint, t: float) -> int:
     """Smallest r with S_r > t.  For t < phi(p) this is 1."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t!r}")
     y = p.alpha_minus
     total = 0.0
     r = 0
@@ -143,6 +143,8 @@ def flow_evolve(fp: FlowPoint, t: float) -> FlowPoint:
     subtracted in reverse order, so forward and backward runs retrace
     one another's crossing sequence.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     base = fp.base
     y = fp.height + t
     if t >= 0:

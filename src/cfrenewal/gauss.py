@@ -55,21 +55,21 @@ LN2 = math.log(2.0)
 _TAIL_BITS = 192  # scale used for exact remainder tails of float-built points
 
 
-def _eval_digits(digits: Sequence[int], tail: Optional[FixedReal]) -> float:
-    """Value of the window closed by ``tail``, rounded exactly once.
+def _eval_digits(digits: Sequence[int], tail: Optional[FixedReal]) -> tuple[int, int]:
+    """Exact value n/d of the window closed by ``tail``, as the pair (n, d).
 
-    The backward recursion runs in exact rational arithmetic (the tail
-    enclosure is replaced by its center, an error below 2**-_TAIL_BITS)
-    so the only float rounding is the final conversion; coordinates
-    therefore round-trip bit-for-bit through digit storage.
+    The backward recursion x -> 1/(a + x) runs on integers as
+    (n, d) -> (d, a*d + n), starting from the tail's center (an error
+    below 2**-_TAIL_BITS) or from 0.  Coordinates are the float n / d;
+    int true division is correctly rounded, so each is rounded exactly
+    once and round-trips bit-for-bit through digit storage.  Stepped
+    points carry their pairs (see ``NaturalExtPoint.step``), so this
+    O(window) loop runs once per orbit, not once per step.
     """
-    if tail is None:
-        x = Fraction(0)
-    else:
-        x = Fraction(tail.mant, 1 << tail.bits)
+    n, d = (0, 1) if tail is None else (tail.mant, 1 << tail.bits)
     for a in reversed(digits):
-        x = 1 / (a + x)
-    return float(x)
+        n, d = d, a * d + n
+    return n, d
 
 
 def float_window(
@@ -102,7 +102,11 @@ class NaturalExtPoint:
     window; without a tail, coordinate values are evaluated at the
     window's convergent endpoint, an error below 1/q_n**2 for an n-digit
     window.  Instances are immutable; ``step`` and ``inverse`` return
-    new points and together realize the two-sided digit shift.
+    new points and together realize the two-sided digit shift.  A
+    stepped point carries its exact coordinates, so each step costs O(1)
+    big-int work and flowing for time t costs O(t); the carried state is
+    a cache, not a field, and takes no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     bwd: tuple[int, ...]
@@ -151,16 +155,26 @@ class NaturalExtPoint:
     # -- coordinate views ----------------------------------------------
 
     @cached_property
+    def _plus_nd(self) -> tuple[int, int]:
+        return _eval_digits(self.fwd, self.plus_tail)
+
+    @cached_property
+    def _minus_nd(self) -> tuple[int, int]:
+        return _eval_digits(self.bwd, self.minus_tail)
+
+    @cached_property
     def alpha_plus(self) -> float:
         if not self.fwd and self.plus_tail is None:
             raise InsufficientDigits("no forward information")
-        return _eval_digits(self.fwd, self.plus_tail)
+        n, d = self._plus_nd
+        return n / d
 
     @cached_property
     def alpha_minus(self) -> float:
         if not self.bwd and self.minus_tail is None:
             raise InsufficientDigits("no backward information")
-        return _eval_digits(self.bwd, self.minus_tail)
+        n, d = self._minus_nd
+        return n / d
 
     def digit(self, k: int) -> int:
         """Digit a_k by absolute two-sided index (k >= 1 future, k <= 0 past)."""
@@ -199,26 +213,67 @@ class NaturalExtPoint:
     # -- dynamics ------------------------------------------------------
 
     def step(self) -> "NaturalExtPoint":
-        """One application of the extension map: shift digits leftward."""
+        """One application of the extension map: shift digits leftward.
+
+        The child's exact coordinates follow in O(1): writing each
+        coordinate as n/d, am' = 1/(a_1 + am) = d/(a_1 d + n) and
+        ap' = 1/ap - a_1 = (d - a_1 n)/n.  A digit read off the tail
+        leaves an empty window, whose value is the remaining tail.
+        """
         if self.fwd:
             a1, new_fwd, ptail = self.fwd[0], self.fwd[1:], self.plus_tail
+            n, d = self._plus_nd
+            plus_nd = (d - a1 * n, n)
         elif self.plus_tail is not None:
             a1, ptail = self.plus_tail.floor_recip()
             new_fwd = ()
+            plus_nd = _eval_digits((), ptail)
         else:
             raise InsufficientDigits("forward digit window exhausted")
-        return NaturalExtPoint((a1,) + self.bwd, new_fwd, self.minus_tail, ptail)
+        n, d = self._minus_nd
+        return _shifted(
+            (a1,) + self.bwd, new_fwd, self.minus_tail, ptail, (d, a1 * d + n), plus_nd
+        )
 
     def inverse(self) -> "NaturalExtPoint":
-        """One application of the inverse map: shift digits rightward."""
+        """One application of the inverse map: shift digits rightward.
+
+        The mirror image of ``step``: ap' = d/(a_0 d + n) and
+        am' = (d - a_0 n)/n, each coordinate written as n/d.
+        """
         if self.bwd:
             a0, new_bwd, btail = self.bwd[0], self.bwd[1:], self.minus_tail
+            n, d = self._minus_nd
+            minus_nd = (d - a0 * n, n)
         elif self.minus_tail is not None:
             a0, btail = self.minus_tail.floor_recip()
             new_bwd = ()
+            minus_nd = _eval_digits((), btail)
         else:
             raise InsufficientDigits("backward digit window exhausted")
-        return NaturalExtPoint(new_bwd, (a0,) + self.fwd, btail, self.plus_tail)
+        n, d = self._plus_nd
+        return _shifted(
+            new_bwd, (a0,) + self.fwd, btail, self.plus_tail, minus_nd, (d, a0 * d + n)
+        )
+
+
+def _shifted(bwd, fwd, minus_tail, plus_tail, minus_nd, plus_nd) -> NaturalExtPoint:
+    """A shifted point with its exact coordinates, built without re-validation.
+
+    Its digits are a checked point's digits plus at most one certified
+    ``floor_recip`` digit, so the O(window) check of ``__post_init__``
+    is skipped; the pairs go where the cached properties keep them.
+    """
+    point = object.__new__(NaturalExtPoint)
+    point.__dict__.update(
+        bwd=bwd,
+        fwd=fwd,
+        minus_tail=minus_tail,
+        plus_tail=plus_tail,
+        _minus_nd=minus_nd,
+        _plus_nd=plus_nd,
+    )
+    return point
 
 
 def gauss_map(x: Union[float, Fraction, FixedReal]):

@@ -1,4 +1,4 @@
-"""The benchmark's span tracer still finds every function it wraps.
+"""The benchmark's span tracer still finds every function it wraps, and runs an op.
 
 ``bench/tracing.py`` wraps package functions by module and name, and
 ``Tracer.install`` raises KeyError when one of those names is gone, so
@@ -25,3 +25,27 @@ def test_tracer_installs_and_restores_every_wrap_point(monkeypatch):
     finally:
         tracer.uninstall()
     assert mixing.correlation_estimate is original
+
+
+def test_traced_exact_op_passes_its_check(monkeypatch, tmp_path):
+    # stepped points keep their exact coordinates in the instance cache,
+    # which must survive the tracer's re-wrapped cached properties
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    plain = workloads.Exact(7, tmp_path)
+    expected = plain.op(plain.next_inputs())
+
+    work = workloads.Exact(7, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        span = tracer.op_span()
+        result = work.op(work.next_inputs())
+        tracer.exit(span)
+    finally:
+        tracer.uninstall()
+    assert work.check(result) is None
+    assert repr(result) == repr(expected)
+    assert tracer.crossings() > 0

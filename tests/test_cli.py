@@ -342,6 +342,12 @@ def test_flow_is_deterministic(tmp_path, capsys):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_flow_rejects_non_finite_time(t, capsys):
+    assert main(["flow", "--seed", "9", "--t", t]) == 1
+    assert f"error: --t must be finite, got {t}" in capsys.readouterr().err
+
+
 def test_mixing_writes_decay_curve(tmp_path, capsys):
     out = tmp_path / "mix.csv"
     code = main(

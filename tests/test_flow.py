@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrenewal import gauss
 from cfrenewal.flow import (
     FlowPoint,
     birkhoff_sum,
@@ -152,6 +153,34 @@ def test_flow_heights_stay_under_the_roof():
         assert 0.0 <= out.height < roof_phi(out.base)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_flow_rejects_non_finite_time(t):
+    p = sample_mu2(substream(31, 11), depth=128)
+    with pytest.raises(ValueError, match="t must be finite"):
+        flow_evolve(FlowPoint(p, 0.5 * roof_phi(p)), t)
+
+
+def test_stepping_reuses_the_exact_coordinates(monkeypatch):
+    # stepped points inherit their exact coordinates, so a long flow
+    # evaluates each digit window once, not once per roof crossing
+    calls = []
+    evaluate = gauss._eval_digits
+
+    def counting(digits, tail):
+        calls.append(len(digits))
+        return evaluate(digits, tail)
+
+    monkeypatch.setattr(gauss, "_eval_digits", counting)
+    p = sample_mu2(substream(31, 12), depth=800)
+    fp = FlowPoint(p, 0.5 * roof_phi(p))
+    end = flow_evolve(fp, 260.0)
+    back = flow_evolve(end, -260.0)
+    assert len(end.base.bwd) - len(p.bwd) >= 200
+    assert back.base.alpha_minus == p.alpha_minus
+    assert back.base.alpha_plus == p.alpha_plus
+    assert len(calls) <= 2
+
+
 def test_renewal_time_is_the_first_sum_past_t():
     rng = substream(31, 8)
     p = sample_mu2(rng, depth=64)
@@ -165,6 +194,13 @@ def test_renewal_time_monotone_in_t():
     p = sample_mu2(rng, depth=96)
     times = [renewal_time(p, t) for t in (1.0, 5.0, 10.0, 20.0)]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_renewal_time_rejects_non_finite_time(t):
+    p = sample_mu2(substream(31, 9), depth=96)
+    with pytest.raises(ValueError, match="t must be finite"):
+        renewal_time(p, t)
 
 
 def test_denominator_crossing_equals_flow_crossing():

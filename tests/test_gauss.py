@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrenewal.errors import InvalidDigits, RationalInput
+from cfrenewal.errors import (
+    CFRenewalError,
+    InsufficientDigits,
+    InvalidDigits,
+    RationalInput,
+)
 from cfrenewal.fixedreal import FixedReal
 from cfrenewal.gauss import (
     Cylinder,
@@ -134,6 +139,52 @@ def test_backward_orbit_of_golden_stays_golden():
         p = p.inverse()
     assert p.alpha_minus == pytest.approx(GOLDEN, abs=1e-13)
     assert p.alpha_plus == pytest.approx(GOLDEN, abs=1e-13)
+
+
+def _coordinates(p):
+    """(alpha_minus, alpha_plus), with None for a side that has no information."""
+    out = []
+    for name in ("alpha_minus", "alpha_plus"):
+        try:
+            out.append(getattr(p, name))
+        except InsufficientDigits:
+            out.append(None)
+    return tuple(out)
+
+
+_walk_starts = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: sample_mu2(substream(seed, 3), depth=128)
+    ),
+    st.tuples(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=1e-3, max_value=0.999),
+    ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap, depth=3)),
+    st.sampled_from([NaturalExtPoint.golden(depth=4), NaturalExtPoint.silver(depth=4)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=_walk_starts, moves=st.lists(st.booleans(), max_size=40))
+def test_stepped_points_carry_bit_identical_coordinates(start, moves):
+    # step/inverse hand the child its exact coordinates; a point built
+    # fresh from the same digits and tails must read the same floats
+    p = start
+    for forward in moves:
+        try:
+            q = p.step() if forward else p.inverse()
+        except CFRenewalError:
+            continue  # window and tail exhausted on this side
+        fresh = NaturalExtPoint(q.bwd, q.fwd, q.minus_tail, q.plus_tail)
+        assert _coordinates(q) == _coordinates(fresh)
+        assert repr(q) == repr(fresh)
+        # undoing the move gives p back, with a digit read off a tail
+        # now sitting in its window
+        back = q.inverse() if forward else q.step()
+        expected = p.extended(n_fwd=len(back.fwd), n_bwd=len(back.bwd))
+        assert back == expected and hash(back) == hash(expected)
+        assert _coordinates(back) == _coordinates(p)
+        p = q
 
 
 # -- invariant measure of the interval map -----------------------------
