@@ -2,7 +2,7 @@
 
 As R grows, the first denominator past R overshoots it by a ratio
 whose law converges, jointly with the digits just before the
-crossing.  The quadrature side and the simulation side of this
+crossing.  The closed-form side and the simulation side of this
 package compute that law independently; here they meet.
 
 Run:  python3 demos/04_renewal_law.py  (about twenty seconds)
@@ -35,7 +35,7 @@ for R in (1e2, 1e4, 1e6, 1e9):
     print(f"  R = {R:<8g} ks+tv distance = {ks_distance(emp, theo):.5f}")
 
 # the joint law with the digit right before the crossing
-print("\nmass of the last digit before the crossing (exact quadrature):")
+print("\nmass of the last digit before the crossing (closed form):")
 for k in range(1, 6):
     print(f"  P(a_(n_R) = {k}) = {theoretical_pn(1.0, math.inf, (k,)):.6f}")
 print("note the bump at k = 2: the crossing is biased toward larger steps")
@@ -46,4 +46,4 @@ exact = theoretical_pn(a, b, c)
 table = empirical_pn(R=1e9, M=400000, N=1, seed=23, bins=(a, b))
 emp_cell = float(table.mass[table.digit_tuples.index(c), 0])
 print("\njoint cell P(ratio in [1, 1.5), digit = 2):")
-print(f"  quadrature {exact:.6f}  vs  simulation {emp_cell:.6f}")
+print(f"  closed form {exact:.6f}  vs  simulation {emp_cell:.6f}")

@@ -5,15 +5,15 @@ Subcommands
 expand    digits and convergents of a decimal input
 renewal   first denominator crossing of a threshold
 simulate  empirical overshoot tables over a list of thresholds
-theory    quadrature tables (or a single probability) of the limit law
+theory    closed-form tables (or a single probability) of the limit law
 compare   distance report between two tables
 flow      trajectory trace of the suspension flow
 mixing    correlation-decay curve between two boxes
 
 Every command is deterministic given its flags; table files embed the
 full configuration.  Exit codes: 0 success, 2 bad numeric input
-(rational or precision), 3 budget or quadrature failure, 4 incompatible
-tables, 1 other errors.  CFRENEWAL_SEED sets the default seed.
+(rational or precision), 3 spent sampling budget, 4 incompatible tables,
+1 other errors.  CFRENEWAL_SEED sets the default seed.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ from .errors import (
     CFRenewalError,
     IncompatibleTables,
     PrecisionExhausted,
-    QuadratureFailure,
     RationalInput,
 )
 from .flow import FlowPoint, flow_evolve
 from .gauss import sample_mu2
 from .limitlaw import (
     DistributionTable,
-    QuadratureSpec,
     default_ratio_edges,
     empirical_pn,
     ks_distance,
@@ -71,9 +69,6 @@ class RunConfig:
     digit_range: int = 8
     bin_delta: float = 0.05
     bin_count: int = 120
-    gauss_order: int = 40
-    max_a1: int = 10000
-    target_tol: float = 1e-9
     out_format: str = "json"
     out_path: str = ""
 
@@ -84,12 +79,12 @@ class RunConfig:
             raise ValueError("N must equal the number of digit constraints")
 
 
-def _spec_from(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(
-        gauss_order=cfg.gauss_order,
-        max_a1=cfg.max_a1,
-        target_tol=cfg.target_tol,
-    )
+def _sample_count(text: str) -> int:
+    """The --M flag as a count: a finite number of at least 1, like 1e6."""
+    m = float(text)
+    if not (math.isfinite(m) and m >= 1):
+        raise ValueError(f"--M must be a finite count of at least 1, got {text}")
+    return int(m)
 
 
 def _edges_from(cfg: RunConfig) -> tuple[float, ...]:
@@ -157,7 +152,7 @@ def cmd_simulate(args) -> int:
     cfg = RunConfig(
         command="simulate",
         seed=args.seed,
-        samples=int(float(args.M)),
+        samples=_sample_count(args.M),
         R_list=r_list,
         N=args.N,
         digit_range=args.digit_range,
@@ -203,20 +198,14 @@ def cmd_theory(args) -> int:
         digit_range=args.digit_range,
         bin_delta=args.bin_delta,
         bin_count=args.bin_count,
-        gauss_order=args.order,
-        max_a1=args.kmax,
-        target_tol=args.tol,
         out_path=args.out or "",
     )
-    spec = _spec_from(cfg)
     if args.a is not None:
         b = math.inf if args.b in (None, "inf") else float(args.b)
-        value = theoretical_pn(float(args.a), b, constraints, spec)
+        value = theoretical_pn(float(args.a), b, constraints)
         print(f"P({args.a}, {b}; c={constraints}) = {value!r}")
         return 0
-    table = theoretical_table(
-        N=n, bins=_edges_from(cfg), digit_range=cfg.digit_range, spec=spec
-    )
+    table = theoretical_table(N=n, bins=_edges_from(cfg), digit_range=cfg.digit_range)
     out = Path(args.out) if args.out else Path(f"theory_N{n}.json")
     _write_table(table, cfg, out)
     return 0
@@ -246,6 +235,8 @@ def cmd_compare(args) -> int:
 def cmd_flow(args) -> int:
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t!r}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     rng = substream(args.seed, 0)
     depth = max(64, int(3 * args.t) + 16)
     point = sample_mu2(rng, depth=depth)
@@ -279,9 +270,10 @@ def cmd_mixing(args) -> int:
     ts = [float(t) for t in args.t.split(",")]
     A = BoxSpec(plus_digits=(args.a_digit,), y_lo=0.0, y_hi=args.a_ymax)
     B = BoxSpec(plus_digits=(args.b_digit,), y_lo=0.0, y_hi=args.b_ymax)
+    M = _sample_count(args.M)
     rows = ["t,estimate,stderr,mass_A,mass_B"]
     for t in ts:
-        est = correlation_estimate(A, B, t, int(float(args.M)), seed=args.seed)
+        est = correlation_estimate(A, B, t, M, seed=args.seed)
         rows.append(
             f"{t!r},{est.value!r},{est.stderr!r},{est.mass_A!r},{est.mass_B!r}"
         )
@@ -326,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--format", choices=("json", "csv"), default="json")
     q.set_defaults(func=cmd_simulate)
 
-    q = sub.add_parser("theory", help="limit-law quadrature")
+    q = sub.add_parser("theory", help="closed-form limit law")
     q.add_argument("--a", type=float, default=None, help="single-cell mode: ratio > a")
     q.add_argument("--b", default=None, help="single-cell mode: ratio < b (or inf)")
     q.add_argument("--N", type=int, default=None)
@@ -334,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--digit-range", dest="digit_range", type=int, default=8)
     q.add_argument("--bin-delta", dest="bin_delta", type=float, default=0.05)
     q.add_argument("--bin-count", dest="bin_count", type=int, default=120)
-    q.add_argument("--order", type=int, default=40)
-    q.add_argument("--kmax", type=int, default=10000)
-    q.add_argument("--tol", type=float, default=1e-9)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_theory)
 
@@ -375,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (RationalInput, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, QuadratureFailure) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except IncompatibleTables as exc:

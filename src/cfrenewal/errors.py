@@ -29,10 +29,6 @@ class TrailingUnderflow(CFRenewalError):
     """The renewal index is too small for the requested trailing window."""
 
 
-class QuadratureFailure(CFRenewalError):
-    """A quadrature routine could not meet the requested tolerance."""
-
-
 class InvalidDigits(CFRenewalError):
     """A digit constraint is malformed (non-positive or non-contiguous)."""
 

@@ -25,9 +25,11 @@ chain with transition kernel
 
     P(a = k | y) = (1+y) / ((k+y)(k+y+1)),    y' = 1/(k+y),
 
-which this module exposes both per-sample and vectorized; it is the
-workhorse behind every large Monte Carlo run in the package, because it
-produces exact-law digit strings of unlimited depth in plain doubles.
+which this module samples vectorized over lanes
+(``sample_digit_given_state``) and, for one point, in a scalar loop
+(``sample_mu2_window``); it is the workhorse behind every large Monte
+Carlo run in the package, because it produces exact-law digit strings
+of unlimited depth in plain doubles.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cf import DigitSequence, convergents
-from .errors import (
-    InsufficientDigits,
-    InvalidDigits,
-    QuadratureFailure,
-    RationalInput,
-)
+from .errors import InsufficientDigits, InvalidDigits, RationalInput
 from .fixedreal import FixedReal
-from .quadrature import integrate_2d
 
 LN2 = math.log(2.0)
 
@@ -328,22 +324,19 @@ def digit_given_state_pmf(k, y):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_digit_given_state(rng: np.random.Generator, y):
-    """Inverse-CDF draw of the next digit given backward coordinate y.
+def sample_digit_given_state(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of the next digit, one per backward coordinate in y.
 
     The conditional CDF is F(k | y) = 1 - (1+y)/(k+1+y), whose inverse
     is k = ceil((1+y)/(1-u) - 1 - y), floored at 1.
     """
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim == 0:
-        yf, u = float(y_arr), rng.random()
-        return max(math.ceil((1.0 + yf) / (1.0 - u) - 1.0 - yf), 1)
+    y = np.asarray(y, dtype=float)
     # in place: fresh lane-sized arrays dominate the cost of a chain step
-    k = rng.random(y_arr.shape)
+    k = rng.random(y.shape)
     np.subtract(1.0, k, out=k)
-    np.divide(1.0 + y_arr, k, out=k)
+    np.divide(1.0 + y, k, out=k)
     k -= 1.0
-    k -= y_arr
+    k -= y
     np.ceil(k, out=k)
     np.maximum(k, 1.0, out=k)
     return k.astype(np.int64)
@@ -362,11 +355,13 @@ def sample_mu2_window(rng: np.random.Generator, depth: int, size=None):
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if size is None:
+        # one call for the uniforms gives the same doubles as one call per
+        # digit; the inverse CDF of sample_digit_given_state runs in floats
         y0 = sample_mu1(rng)
         y = y0
         digs = []
-        for _ in range(depth):
-            a = sample_digit_given_state(rng, y)
+        for u in rng.random(depth).tolist():
+            a = max(math.ceil((1.0 + y) / (1.0 - u) - 1.0 - y), 1)
             digs.append(a)
             y = 1.0 / (a + y)
         return y0, tuple(digs)
@@ -462,15 +457,15 @@ def mu2_density(am, ap):
     return 1.0 / (LN2 * (1.0 + am * ap) ** 2)
 
 
-def cylinder_measure(
-    c: Cylinder, which: str = "mu1", tol: float = 1e-10, order: int = 24
-) -> float:
-    """Invariant mass of a cylinder.
+def cylinder_measure(c: Cylinder, which: str = "mu1") -> float:
+    """Invariant mass of a cylinder, in closed form.
 
-    One-sided masses are closed-form integrals of the Gauss density.
-    Two-sided masses integrate the extension's density over the product
-    rectangle by Gauss-Legendre, with order doubling as the error
-    estimate; QuadratureFailure is raised if the estimate exceeds tol.
+    One-sided masses integrate the Gauss density over an interval.  The
+    mu2 mass of a two-sided rectangle [x0, x1] x [y0, y1] is
+    log2((1+x0*y0)(1+x1*y1) / ((1+x0*y1)(1+x1*y0))); the ratio minus 1,
+    (x1-x0)(y1-y0) / ((1+x0*y1)(1+x1*y0)), is formed exactly in
+    Fraction and passed to log1p, so thin cylinders keep their
+    relative precision.
     """
     if which not in ("mu1", "mu2"):
         raise ValueError("which must be 'mu1' or 'mu2'")
@@ -479,12 +474,6 @@ def cylinder_measure(
         return _mu1_interval_mass(lo, hi)
     if which == "mu1":
         raise ValueError("the Gauss measure applies to one-sided cylinders only")
-    (mlo, mhi), (plo, phi) = cylinder_rectangle(c)
-    box = (float(mlo), float(mhi), float(plo), float(phi))
-    coarse = integrate_2d(mu2_density, *box, order=order)
-    fine = integrate_2d(mu2_density, *box, order=2 * order)
-    if abs(fine - coarse) > tol:
-        raise QuadratureFailure(
-            f"two-sided cylinder mass: error estimate {abs(fine - coarse):.3e} > {tol}"
-        )
-    return fine
+    (x0, x1), (y0, y1) = cylinder_rectangle(c)
+    excess = (x1 - x0) * (y1 - y0) / ((1 + x0 * y1) * (1 + x1 * y0))
+    return math.log1p(float(excess)) / LN2

@@ -1,4 +1,4 @@
-"""The renewal overshoot law: Monte Carlo estimation and exact quadrature.
+"""The renewal overshoot law: Monte Carlo estimation and closed forms.
 
 For a threshold R, the denominator sequence q_n of a random number first
 exceeds R at the renewal index n_R, and the pair
@@ -16,13 +16,12 @@ This module computes both sides:
 
 * ``empirical_pn`` runs a vectorized exact-law digit chain and bins the
   observed (ratio, digits) pairs into a DistributionTable;
-* ``theoretical_pn`` integrates the flow-region volume by strip-wise
-  Gauss-Legendre quadrature with closed-form inner integrals and exact
-  telescoped tails, so the only error is the quadrature residual on a
-  handful of analytic one-dimensional pieces.
+* ``theoretical_pn`` and ``theoretical_table`` evaluate the flow-region
+  volume in closed form through the dilogarithm Li2, so the only error
+  is floating-point rounding, stated as a bound of 1e-14 per cell.
 
-The normalization constant Z is the mean roof value, numerically equal
-to pi**2 / (12 ln 2), the almost-sure growth rate of (ln q_n)/n.
+The normalization constant Z is the mean roof value, -Li2(-1) / ln 2 =
+pi**2 / (12 ln 2), the almost-sure growth rate of (ln q_n)/n.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -44,196 +42,117 @@ from .errors import (
     InvalidBins,
     InvalidDigits,
     InvalidSampleCount,
-    QuadratureFailure,
 )
 from .gauss import LN2, interval_for_digits, sample_digit_given_state, sample_mu1
-from .quadrature import integrate_1d, mapped_nodes
+# bench/tracing.py wraps limitlaw.mapped_nodes by name; nothing here calls it
+from .quadrature import mapped_nodes  # noqa: F401
 from .streams import CHUNK, chunk_sizes, substream
 
 LEVY_CONSTANT = math.pi**2 / (12.0 * LN2)
 
+# (ln 2) times the mu2-volume under the whole roof, -Li2(-1)
+_VOLUME = math.pi**2 / 12.0
 
-# -- quadrature configuration ------------------------------------------
+# stated bound on the rounding error of one closed-form cell
+_ROUNDING_BOUND = 1e-14
+
+
+# -- closed forms ------------------------------------------------------
+
+# 1/k**2 for k = 60, ..., 1: Horner coefficients of sum_k z**k / k**2
+_LI2_COEFFS = 1.0 / np.arange(60.0, 0.0, -1.0) ** 2
+
+
+def dilog(x):
+    """Real dilogarithm Li2(x) = sum over k >= 1 of x**k / k**2, for x in [-1, 0].
+
+    The Landen map z = x/(x-1) sends [-1, 0] into [0, 1/2], where
+    Li2(x) = -Li2(z) - log1p(-x)**2 / 2 and 60 terms of the series of
+    Li2(z) leave a remainder below 1e-21.  Elementwise on arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    z = x / (x - 1.0)
+    acc = np.zeros_like(z)
+    for coeff in _LI2_COEFFS:
+        acc = acc * z + coeff
+    return -z * acc - 0.5 * np.log1p(-x) ** 2
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs for the deterministic side: rule order, strip count, tolerance."""
+class BoundedValue:
+    """A computed value with a bound on its absolute error."""
 
-    gauss_order: int = 40
-    max_a1: int = 10000
-    target_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.gauss_order < 2:
-            raise ValueError("gauss_order must be >= 2")
-        if self.max_a1 < 2:
-            raise ValueError("max_a1 must be >= 2")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
     value: float
     error: float
 
 
-def _strip_weight_integrals(ks: np.ndarray, order: int) -> np.ndarray:
-    """I_k = integral over [0,1] of ln(k+x) / ((k+x)(k+1+x)) dx, vectorized in k."""
-    x, w = mapped_nodes(0.0, 1.0, order)
-    u = ks[:, None] + x[None, :]
-    vals = np.log(u) / (u * (u + 1.0))
-    return vals @ w
+def normalization_constant() -> BoundedValue:
+    """Mean roof value Z = -Li2(-1) / ln 2, the normalizer of the flow measure.
 
-
-def _phi_tail(K: int) -> tuple[float, float]:
-    """Exact sum of strip integrals I_k for k > K, with truncation error.
-
-    Telescoping the strips gives the integral of -ln(v)/(1+v) over
-    (0, 1/(K+1)), evaluated by its alternating series.
+    Numerically Z = pi^2 / (12 ln 2); ``error`` is the rounding bound.
     """
-    eps = 1.0 / (K + 1.0)
-    neg_log = -math.log(eps)
-    total = 0.0
-    term = 0.0
-    power = 1.0
-    for j in range(64):
-        power *= eps
-        term = power * (neg_log / (j + 1.0) + 1.0 / (j + 1.0) ** 2)
-        total += term if j % 2 == 0 else -term
-        if term < 1e-18:
-            break
-    return total, abs(term)
+    return BoundedValue(value=float(-dilog(-1.0)) / LN2, error=_ROUNDING_BOUND)
 
 
-def _const_tail(m: int) -> float:
-    """Exact sum over k >= m of the strip masses B_k (times ln 2)."""
-    # B_k = ln((k+1)^2 / (k(k+2))) telescopes to ln((m+1)/m)
-    return math.log((m + 1.0) / m)
+def _ratio_law(a, b):
+    """P(a < ratio <= b) without digit constraints, elementwise.
 
-
-def normalization_constant(spec: Optional[QuadratureSpec] = None) -> QuadratureResult:
-    """Mean roof value Z, the normalizer of the flow-invariant measure.
-
-    Strip k contributes I_k (closed-form inner integral, Gauss-Legendre
-    outer integral); strips beyond max_a1 are summed exactly by the
-    telescoped tail integral.  Numerically Z = pi^2 / (12 ln 2).
+    The roof ln(a_1 + alpha_minus) capped at ln a has mean
+    pi**2/12 + Li2(-1/a) in (ln 2) units, so the law is a difference
+    of two dilogarithms; b = inf gives Li2(-0) = 0.
     """
-    return _normalization_cached(spec or QuadratureSpec())
+    return (dilog(-1.0 / b) - dilog(-1.0 / a)) / _VOLUME
 
 
-@lru_cache(maxsize=64)
-def _normalization_cached(spec: QuadratureSpec) -> QuadratureResult:
-    ks = np.arange(1, spec.max_a1 + 1, dtype=float)
-    fine = float(np.sum(_strip_weight_integrals(ks, spec.gauss_order)))
-    coarse = float(np.sum(_strip_weight_integrals(ks, max(2, spec.gauss_order // 2))))
-    tail, tail_err = _phi_tail(spec.max_a1)
-    value = (fine + tail) / LN2
-    error = (abs(fine - coarse) + tail_err) / LN2
-    if error > max(spec.target_tol, 1e-14):
-        raise QuadratureFailure(f"normalization error estimate {error:.3e}")
-    return QuadratureResult(value=value, error=error)
+def _roof_moment(s):
+    """Antiderivative of ln(s) / (s (s+1)): Li2(-1/s) - ln(s) log1p(1/s)."""
+    return dilog(-1.0 / s) - np.log(s) * np.log1p(1.0 / s)
 
 
-@lru_cache(maxsize=8192)
-def _capped_phi_integral(ln_a: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """(ln 2) times the integral of min(phi, ln_a) d(mu2), with error estimate.
+def _roof_mass(s):
+    """Antiderivative of 1 / (s (s+1)): -log1p(1/s)."""
+    return -np.log1p(1.0 / s)
 
-    Splits the domain into digit strips: strips fully below the cap
-    contribute I_k, the strip containing the cap is integrated in two
-    pieces, and strips fully above it contribute the exact telescoped
-    constant tail.
+
+def _digit_cells(a, b, c0, v0, v1):
+    """P(a < ratio <= b, trailing digits c), elementwise over broadcast arrays.
+
+    With c = (c0, c1, ...), the digit at the crossing pins the roof to
+    ln(s), s = c0 + alpha_minus, and (c1, ...) confine alpha_minus to
+    (v0, v1).  Integrating the mu2 density over alpha_plus in the c0
+    strip leaves the weight 1/(s (s+1)) ds.  Over s in (a, b) the
+    fiber length is ln s - ln a; above b it is ln b - ln a.  Both
+    pieces integrate in closed form between the kinks s_lo, s_hi and
+    s_flat, each clipped to the strip (s0, s1).
     """
-    if ln_a <= 0.0:
-        return 0.0, 0.0
-    a = math.exp(ln_a)
-    k_cap = int(math.floor(a))  # strip containing the cap value
-    x_cap = a - k_cap
-    full_hi = min(k_cap - 1, spec.max_a1)
-    total = 0.0
-    err = 0.0
-    if full_hi >= 1:
-        ks = np.arange(1, full_hi + 1, dtype=float)
-        fine = float(np.sum(_strip_weight_integrals(ks, spec.gauss_order)))
-        coarse = float(
-            np.sum(_strip_weight_integrals(ks, max(2, spec.gauss_order // 2)))
-        )
-        total += fine
-        err += abs(fine - coarse)
-    if k_cap > spec.max_a1:
-        raise QuadratureFailure(
-            f"cap strip {k_cap} beyond max_a1={spec.max_a1}; raise max_a1"
-        )
-    # strip containing the cap: roof below the cap on [0, x_cap), capped above
-    if x_cap > 0.0:
-        def rising(x, k=k_cap):
-            u = k + x
-            return np.log(u) / (u * (u + 1.0))
-
-        fine = integrate_1d(rising, 0.0, x_cap, spec.gauss_order)
-        coarse = integrate_1d(rising, 0.0, x_cap, max(2, spec.gauss_order // 2))
-        total += fine
-        err += abs(fine - coarse)
-        # mass of [x_cap, 1] inside strip k_cap: F(1) - F(x_cap) with
-        # F(x) = ln((k+x)/(k+1+x))
-        flat_mass = math.log((k_cap + 1.0) / (k_cap + 2.0)) - math.log(
-            (k_cap + x_cap) / (k_cap + 1.0 + x_cap)
-        )
-        total += ln_a * flat_mass
-    tail_from = k_cap + 1 if x_cap > 0.0 else k_cap
-    total += ln_a * _const_tail(tail_from)
-    return total, err
+    s0, s1 = c0 + v0, c0 + v1
+    ln_a = np.log(a)
+    s_lo = np.maximum(s0, a)
+    s_hi = np.maximum(np.minimum(s1, b), s_lo)
+    rising = (_roof_moment(s_hi) - _roof_moment(s_lo)) - ln_a * (
+        _roof_mass(s_hi) - _roof_mass(s_lo)
+    )
+    # ln min(b, s1) - ln a is the flat fiber length wherever b < s1; at
+    # b >= s1 the flat piece is empty and its mass difference is 0
+    s_flat = np.clip(b, s0, s1)
+    flat = (np.log(np.minimum(b, s1)) - ln_a) * (_roof_mass(s1) - _roof_mass(s_flat))
+    return (rising + flat) / _VOLUME
 
 
-def _digit_rectangle_integral(
-    ln_a: float, ln_b: float, c: tuple[int, ...], spec: QuadratureSpec
-) -> tuple[float, float]:
-    """(ln 2) times the region volume restricted to the digit constraints.
+def _digit_interval(c: tuple[int, ...]) -> tuple[float, float]:
+    """alpha_minus interval (v0, v1) cut out by the digits before the crossing."""
+    v0, v1 = interval_for_digits(c[1:])
+    return float(v0), float(v1)
 
-    The first constrained digit pins the roof to ln(c_0 + x) over the
-    backward interval cut out by the remaining constraints; the forward
-    integral is closed-form, so a single one-dimensional quadrature with
-    kink splitting remains.
+
+def theoretical_pn(a: float, b: float, c: Sequence[int] = ()) -> float:
+    """Limit probability of overshoot ratio in (a, b) and trailing digits c.
+
+    c = (c_0, ..., c_{N-1}) constrains the digit at the crossing to c_0
+    and the N-1 digits before it; an empty c gives the plain ratio law.
+    Closed form, exact up to rounding (below 1e-14).
     """
-    c0 = c[0]
-    v0f, v1f = interval_for_digits(c[1:])
-    v0, v1 = float(v0f), float(v1f)
-    u0f, u1f = interval_for_digits((c0,))
-    u0, u1 = float(u0f), float(u1f)
-
-    def weight(x):
-        return (u1 - u0) / ((1.0 + x * u0) * (1.0 + x * u1))
-
-    def weight_mass(x0: float, x1: float) -> float:
-        # closed-form integral of weight over [x0, x1]
-        def F(x):
-            return math.log((1.0 + u1 * x) / (1.0 + u0 * x))
-
-        return F(x1) - F(x0)
-
-    a = math.exp(ln_a)
-    b = math.exp(ln_b) if math.isfinite(ln_b) else math.inf
-    # kinks of the fiber length in x, where c0 + x crosses a or b
-    lo = max(v0, a - c0) if a > c0 else v0
-    hi = min(v1, b - c0) if b - c0 < v1 else v1
-    total = 0.0
-    err = 0.0
-    if hi > lo:
-        def rising(x):
-            return (np.log(c0 + x) - ln_a) * weight(x)
-
-        fine = integrate_1d(rising, lo, hi, spec.gauss_order)
-        coarse = integrate_1d(rising, lo, hi, max(2, spec.gauss_order // 2))
-        total += fine
-        err += abs(fine - coarse)
-    if math.isfinite(ln_b) and b - c0 < v1:
-        flat_lo = max(v0, b - c0)
-        total += (ln_b - ln_a) * weight_mass(flat_lo, v1)
-    return total, err
-
-
-def _pn_with_error(
-    a: float, b: float, c: tuple[int, ...], spec: QuadratureSpec
-) -> tuple[float, float]:
+    a, b = float(a), float(b)
     if not a >= 1.0:
         raise ValueError("a must be >= 1")
     if not b > a:
@@ -242,41 +161,9 @@ def _pn_with_error(
         if int(digit) != digit or digit < 1:
             raise InvalidDigits(f"bad trailing digit constraint {digit!r}")
     c = tuple(int(d) for d in c)
-    z = normalization_constant(spec)
-    ln_a = math.log(a)
-    ln_b = math.log(b) if math.isfinite(b) else math.inf
     if not c:
-        lo_val, lo_err = _capped_phi_integral(ln_a, spec)
-        if math.isfinite(ln_b):
-            hi_val, hi_err = _capped_phi_integral(ln_b, spec)
-        else:
-            hi_val, hi_err = z.value * LN2, z.error * LN2
-        raw, raw_err = hi_val - lo_val, hi_err + lo_err
-    else:
-        raw, raw_err = _digit_rectangle_integral(ln_a, ln_b, c, spec)
-    value = raw / (z.value * LN2)
-    error = raw_err / (z.value * LN2) + z.error / z.value * value
-    return value, error
-
-
-def theoretical_pn(
-    a: float,
-    b: float,
-    c: Sequence[int] = (),
-    spec: Optional[QuadratureSpec] = None,
-) -> float:
-    """Limit probability of overshoot ratio in (a, b) and trailing digits c.
-
-    c = (c_0, ..., c_{N-1}) constrains the digit at the crossing to c_0
-    and the N-1 digits before it; an empty c gives the plain ratio law.
-    Deterministic given the QuadratureSpec; raises QuadratureFailure if
-    the internal error estimate exceeds the requested tolerance.
-    """
-    spec = spec or QuadratureSpec()
-    value, error = _pn_with_error(float(a), float(b), tuple(c), spec)
-    if error > spec.target_tol:
-        raise QuadratureFailure(f"error estimate {error:.3e} > {spec.target_tol}")
-    return value
+        return float(_ratio_law(a, b))
+    return float(_digit_cells(a, b, c[0], *_digit_interval(c)))
 
 
 # -- distribution tables -----------------------------------------------
@@ -629,30 +516,29 @@ def theoretical_table(
     N: int = 0,
     bins: Optional[Sequence[float]] = None,
     digit_range: int = 8,
-    spec: Optional[QuadratureSpec] = None,
 ) -> DistributionTable:
-    """Quadrature table over the same bins and digit tuples as empirical_pn."""
-    spec = spec or QuadratureSpec()
+    """Closed-form table over the same bins and digit tuples as empirical_pn.
+
+    Every cell carries the rounding bound 1e-14; the overflow
+    tuple takes what the enumerated tuples miss, and its bound
+    accumulates theirs.
+    """
     edges = _check_edges(bins if bins is not None else default_ratio_edges())
     tuples = digit_tuple_list(N, digit_range)
-    spans = list(zip(edges, edges[1:])) + [(edges[-1], math.inf)]
-    mass = np.zeros((len(tuples), len(edges)))
-    err = np.zeros_like(mass)
-    for j, (a, b) in enumerate(spans):
-        v0, e0 = _pn_with_error(a, b, (), spec)
-        if N == 0:
-            mass[0, j], err[0, j] = v0, e0
-            continue
-        listed = 0.0
-        listed_err = 0.0
-        for i, t in enumerate(tuples[:-1]):
-            v, e = _pn_with_error(a, b, t, spec)
-            mass[i, j], err[i, j] = v, e
-            listed += v
-            listed_err += e
-        # the overflow tuple takes whatever the enumerated tuples missed
-        mass[-1, j] = max(v0 - listed, 0.0)
-        err[-1, j] = e0 + listed_err
+    a = np.asarray(edges)
+    b = np.append(a[1:], math.inf)
+    plain = _ratio_law(a, b)
+    if N == 0:
+        mass = plain[None, :]
+    else:
+        listed = tuples[:-1]
+        c0 = np.array([[t[0]] for t in listed], dtype=float)
+        v = np.array([_digit_interval(t) for t in listed])
+        cells = _digit_cells(a, b, c0, v[:, :1], v[:, 1:])
+        overflow = np.maximum(plain - cells.sum(axis=0), 0.0)
+        mass = np.vstack([cells, overflow])
+    err = np.full(mass.shape, _ROUNDING_BOUND)
+    err[-1] *= len(tuples)
     return DistributionTable(
         ratio_bin_edges=edges,
         digit_tuples=tuple(tuples),

@@ -1,45 +1,18 @@
-"""Small Gauss-Legendre helpers shared by the measure-theoretic modules.
+"""Gauss-Legendre nodes mapped to an interval.
 
-All integrands in this package are analytic on the closed subintervals
-they are integrated over, so plain fixed-order Gauss-Legendre rules with
-order doubling as the error estimate are both fast and reliable.
+Nothing in the package integrates numerically: the limit law and the
+cylinder masses are closed forms.  ``mapped_nodes`` is kept only as the
+wrap point that the benchmark's span tracer (``bench/tracing.py``) looks
+up by name, here and in ``limitlaw``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-
-@lru_cache(maxsize=None)
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def mapped_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the order-point rule mapped to [a, b]."""
-    x, w = _nodes(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def integrate_1d(f, a: float, b: float, order: int = 40) -> float:
-    """Integral of a vectorized f over [a, b]."""
-    if b <= a:
-        return 0.0
-    x, w = mapped_nodes(a, b, order)
-    return float(np.dot(w, f(x)))
-
-
-def integrate_2d(
-    f, ax: float, bx: float, ay: float, by: float, order: int = 40
-) -> float:
-    """Integral of a vectorized f(x, y) over [ax, bx] x [ay, by]."""
-    if bx <= ax or by <= ay:
-        return 0.0
-    x, wx = mapped_nodes(ax, bx, order)
-    y, wy = mapped_nodes(ay, by, order)
-    vals = f(x[:, None], y[None, :])
-    return float(wx @ vals @ wy)

@@ -68,8 +68,8 @@ def test_criterion_02_growth_constant_by_quadrature_and_simulation():
         s += np.log(a + y)
         y = 1.0 / (a + y)
     mc_err = abs(float(s.mean()) / n - want)
-    ok = quad_err <= 1e-6 and mc_err <= 1e-2
-    _report(2, ok, f"quadrature off by {quad_err:.2e} (tol 1e-06), "
+    ok = quad_err <= 1e-14 and mc_err <= 1e-2
+    _report(2, ok, f"closed form off by {quad_err:.2e} (tol 1e-14), "
                    f"simulation off by {mc_err:.2e} (tol 1e-02)")
 
 
@@ -171,7 +171,7 @@ def test_criterion_07_overshoot_law_converges_and_matches_quadrature():
     gap = float(np.abs(big.mass - theo.mass).max())
     ok = d <= ks_tol and gap <= 0.01
     _report(7, ok, f"ks(R=1e6, R=1e9) = {d:.5f} (tol {ks_tol:.5f}); "
-                   f"sup bin gap to quadrature = {gap:.5f} (tol 0.01000)")
+                   f"sup bin gap to closed form = {gap:.5f} (tol 0.01000)")
 
 
 def test_criterion_08_trailing_digit_masses_match_quadrature():

@@ -82,9 +82,9 @@ def test_theory_writes_a_loadable_table(tmp_path, capsys):
     assert table.total_mass() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_theory_unreachable_tolerance_exits_three(capsys):
-    assert main(["theory", "--a", "1.0", "--b", "1.5", "--tol", "1e-22"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_theory_cell_beyond_the_old_strip_budget(capsys):
+    assert main(["theory", "--a", "1", "--b", "1e6"]) == 0
+    assert repr(theoretical_pn(1.0, 1e6)) in capsys.readouterr().out
 
 
 # -- simulate ----------------------------------------------------------
@@ -348,6 +348,14 @@ def test_flow_rejects_non_finite_time(t, capsys):
     assert f"error: --t must be finite, got {t}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_flow_rejects_fewer_than_one_step(steps, capsys):
+    assert main(["flow", "--seed", "9", "--t", "2.0", "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --steps must be at least 1, got {steps}" in captured.err
+    assert captured.out == ""
+
+
 def test_mixing_writes_decay_curve(tmp_path, capsys):
     out = tmp_path / "mix.csv"
     code = main(
@@ -380,3 +388,14 @@ def test_mixing_writes_decay_curve(tmp_path, capsys):
 def test_mixing_validates_sample_count(capsys):
     assert main(["mixing", "--t", "1.0", "--M", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "mixing"])
+@pytest.mark.parametrize("M", ["inf", "nan", "-5"])
+def test_sample_count_must_be_finite_and_positive(command, M, tmp_path, capsys):
+    argv = [command, "--M", M]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: --M must be a finite count of at least 1, got {M}" in err

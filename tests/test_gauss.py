@@ -346,10 +346,28 @@ def test_two_sided_mass_matches_rectangle_closed_form():
 
 
 def test_density_integrates_to_one():
-    from cfrenewal.quadrature import integrate_2d
+    from cfrenewal.quadrature import mapped_nodes
 
-    total = integrate_2d(mu2_density, 0.0, 1.0, 0.0, 1.0, order=60)
+    x, w = mapped_nodes(0.0, 1.0, 60)
+    total = w @ mu2_density(x[:, None], x[None, :]) @ w
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_thin_two_sided_masses_keep_relative_precision():
+    # float rectangle corners would cost about eps / width in relative error
+    mpmath = pytest.importorskip("mpmath")
+    for digits, origin in [((9,) * 8, -3), ((1,) * 20, -10), ((1, 5, 2, 7, 3, 1), -2)]:
+        c = Cylinder.two_sided(digits, index_origin=origin)
+        with mpmath.workdps(50):
+            x0, x1, y0, y1 = (
+                mpmath.mpf(q.numerator) / q.denominator
+                for q in sum(cylinder_rectangle(c), ())
+            )
+            want = float(mpmath.log(
+                (1 + x0 * y0) * (1 + x1 * y1) / ((1 + x0 * y1) * (1 + x1 * y0)), 2
+            ))
+        got = cylinder_measure(c, "mu2")
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0), digits
 
 
 def test_refinement_additivity_of_interval_masses():

@@ -1,12 +1,13 @@
-"""Overshoot law: quadrature values, sampled tables, serialization.
+"""Overshoot law: closed-form values, sampled tables, serialization.
 
 Reference values marked "slice oracle" were computed once with mpmath
 (40 working digits) by a horizontal-slice decomposition: the region mass
 equals the integral over s of the measure of {roof > s}, which is a sum
 of closed-form interval and rectangle masses.  That pipeline shares no
-code with the quadrature under test.  Values marked "reference run" come
-from a one-off simulation at R = 1e9 with 1e7 samples, seed 2026; the
-quoted sigma is the binomial standard error of that run.
+code with the dilogarithm closed forms under test.  Values marked
+"reference run" come from a one-off simulation at R = 1e9 with 1e7
+samples, seed 2026; the quoted sigma is the binomial standard error of
+that run.
 """
 
 import json
@@ -20,14 +21,13 @@ from cfrenewal.errors import (
     IncompatibleTables,
     InvalidBins,
     InvalidSampleCount,
-    QuadratureFailure,
 )
 from cfrenewal.limitlaw import (
     LEVY_CONSTANT,
     DistributionTable,
-    QuadratureSpec,
     default_ratio_edges,
     digit_tuple_list,
+    dilog,
     empirical_pn,
     ks_distance,
     normalization_constant,
@@ -60,7 +60,7 @@ REFERENCE_RUN = {
 }
 
 
-# -- quadrature --------------------------------------------------------
+# -- closed forms ------------------------------------------------------
 
 
 def test_normalization_is_pi_squared_over_twelve_log_two():
@@ -73,7 +73,7 @@ def test_normalization_is_pi_squared_over_twelve_log_two():
 def test_quadrature_matches_slice_oracle():
     for (a, b, c), want in ORACLE.items():
         got = theoretical_pn(a, b, c)
-        assert got == pytest.approx(want, abs=1e-12), (a, b, c)
+        assert got == pytest.approx(want, abs=1e-14), (a, b, c)
 
 
 def test_quadrature_matches_reference_run():
@@ -106,17 +106,30 @@ def test_ratio_window_below_one_rejected():
         theoretical_pn(2.0, 2.0)
 
 
-def test_unreachable_tolerance_raises():
-    with pytest.raises(QuadratureFailure):
-        theoretical_pn(1.0, 1.5, spec=QuadratureSpec(target_tol=1e-22))
+def test_dilog_matches_mpmath_on_its_domain():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(-1.0, 0.0, 401), -np.logspace(-300, 0, 61)])
+    want = np.array([float(mpmath.polylog(2, mpmath.mpf(x))) for x in xs])
+    np.testing.assert_allclose(dilog(xs), want, rtol=1e-15, atol=0.0)
 
 
-def test_strip_budget_failure_names_the_remedy():
-    with pytest.raises(QuadratureFailure):
-        theoretical_pn(1.0, 1e6, spec=QuadratureSpec(max_a1=1000))
-    # a raised budget resolves it
-    wide = QuadratureSpec(max_a1=200)
-    assert theoretical_pn(1.0, 150.0, spec=wide) < 1.0
+def test_cells_beyond_the_old_strip_budget():
+    # the strip quadrature stopped at ratio 1e4; the closed form has no such edge
+    total = theoretical_pn(1.0, 1e6) + theoretical_pn(1e6, math.inf)
+    assert total == pytest.approx(1.0, abs=1e-14)
+    # P(ratio > 1/x) = (12/pi**2) (x - x**2/4 + x**3/9 - ...)
+    x = 1e-6
+    tail = 12 / math.pi**2 * (x - x**2 / 4 + x**3 / 9)
+    assert theoretical_pn(1 / x, math.inf) == pytest.approx(tail, rel=1e-14, abs=0.0)
+    # a digit far above any table's range still splits its ratio cell
+    k = 10**5
+    whole = theoretical_pn(1.0, math.inf, (k,))
+    s = k + 0.5
+    parts = theoretical_pn(1.0, s, (k,)) + theoretical_pn(s, math.inf, (k,))
+    assert whole == pytest.approx(parts, rel=1e-9, abs=0.0)
+    # midpoint rule on the strip's integral of ln(s) / (s (s+1)), error O(k**-2)
+    midpoint = math.log(s) / (s * (s + 1)) / (math.pi**2 / 12)
+    assert whole == pytest.approx(midpoint, rel=1e-8, abs=0.0)
 
 
 # -- sampling ----------------------------------------------------------
