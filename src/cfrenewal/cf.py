@@ -14,17 +14,11 @@ package studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .errors import (
-    InsufficientDigits,
-    PrecisionExhausted,
-    RationalInput,
-    TrailingUnderflow,
-)
+from .errors import InsufficientDigits, RationalInput, TrailingUnderflow
 from .fixedreal import FixedReal
 
 RealLike = Union[float, Fraction, FixedReal]
@@ -255,39 +249,3 @@ def renewal_index(
     raise InsufficientDigits(
         f"no denominator exceeds R={R} within {len(ds)} digits"
     )
-
-
-def reversed_quotient_chain(digits: Sequence[int]) -> list[float]:
-    """Values y_k = [0; a_k, a_{k-1}, ..., a_1] for k = 0 .. n.
-
-    y_k equals q_{k-1} / q_k, so a_k + y_{k-1} is the denominator growth
-    factor q_k / q_{k-1}.  The backward recursion y_k = 1/(a_k + y_{k-1})
-    is contracting, which keeps the chain stable in double precision.
-    """
-    ys = [0.0]
-    for a in digits:
-        ys.append(1.0 / (a + ys[-1]))
-    return ys
-
-
-def log_q(digits: Union[DigitSequence, Sequence[int]], n: int) -> float:
-    """ln q_n, computed two independent ways and cross-checked.
-
-    Route one takes the logarithm of the exact integer q_n.  Route two
-    sums ln(a_k + y_{k-1}) over the reversed-quotient chain, which
-    telescopes to the same number.  The two must agree to 1e-12
-    relative; disagreement would mean a numeric fault, and raises
-    PrecisionExhausted.
-    """
-    ds = _digit_tuple(digits)
-    if not (1 <= n <= len(ds)):
-        raise ValueError(f"n must be in 1..{len(ds)}")
-    q_prev, q_cur = 0, 1
-    for a in ds[:n]:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    direct = math.log(q_cur)
-    ys = reversed_quotient_chain(ds[:n])
-    chain = math.fsum(math.log(a + y) for a, y in zip(ds[:n], ys[:-1]))
-    if not abs(direct - chain) <= 1e-12 * max(1.0, abs(direct)):
-        raise PrecisionExhausted(f"log q_n routes disagree: {direct} vs {chain}")
-    return direct

@@ -33,6 +33,7 @@ from .errors import (
     BudgetExceeded,
     CFRenewalError,
     IncompatibleTables,
+    InvalidDigits,
     PrecisionExhausted,
     RationalInput,
 )
@@ -190,6 +191,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_theory(args) -> int:
     constraints = tuple(int(c) for c in args.c.split(",")) if args.c else ()
+    if any(c < 1 for c in constraints):
+        raise InvalidDigits(f"--c digits must be positive, got {args.c}")
     n = args.N if args.N is not None else len(constraints)
     cfg = RunConfig(
         command="theory",

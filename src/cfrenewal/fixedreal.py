@@ -76,11 +76,6 @@ class FixedReal:
         return cls._from_bounds(lo, lo + 1, bits)
 
     @classmethod
-    def from_float(cls, value: float, bits: int = DEFAULT_BITS) -> "FixedReal":
-        # binary64 values are dyadic rationals, so this is usually exact
-        return cls.from_fraction(Fraction(value), bits)
-
-    @classmethod
     def from_sqrt(cls, n: int, bits: int = DEFAULT_BITS) -> "FixedReal":
         """Enclosure of sqrt(n) for a non-square integer n >= 0."""
         if n < 0:

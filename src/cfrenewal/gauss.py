@@ -186,10 +186,6 @@ class NaturalExtPoint:
             a, tail = tail.floor_recip()
         return a
 
-    @property
-    def a1(self) -> int:
-        return self.digit(1)
-
     def extended(self, n_fwd: int = 0, n_bwd: int = 0) -> "NaturalExtPoint":
         """Copy with digit windows materialized to at least the given depths."""
         fwd, ftail = list(self.fwd), self.plus_tail

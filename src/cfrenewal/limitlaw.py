@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -189,6 +188,8 @@ def digit_tuple_list(N: int, digit_range: int) -> list:
     """All N-tuples over 1..digit_range, plus None as the overflow bucket."""
     if N == 0:
         return [()]
+    if digit_range < 1:
+        raise InvalidBins(f"digit range must be at least 1, got {digit_range}")
     return [t for t in product(range(1, digit_range + 1), repeat=N)] + [None]
 
 
@@ -272,9 +273,6 @@ class DistributionTable:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistributionTable":
         missing = [k for k in ("ratio_bin_edges", "digit_tuples", "mass") if k not in d]
@@ -293,10 +291,6 @@ class DistributionTable:
             seed=d.get("seed"),
             error=None if d.get("error") is None else np.asarray(d["error"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionTable":
-        return cls.from_json_dict(json.loads(text))
 
     def to_csv(self) -> str:
         """Flat CSV, one row per digit tuple and ratio bin.
@@ -410,12 +404,14 @@ def _renewal_chunk(
     N: int,
     edges: np.ndarray,
     digit_range: int,
-) -> tuple[np.ndarray, int]:
-    """Histogram of one chunk of renewal draws, plus its rejected count.
+    counts: np.ndarray,
+) -> int:
+    """Bin one chunk of renewal draws into counts; return its rejected count.
 
     The digit chain runs in doubles.  Denominators below 2**53 are exact
     in binary64 and larger ones round to at least 2**53, so for R below
     2**53 (which empirical_pn enforces) the crossing step is exact.
+    Each live lane keeps its newest N digits in ``window``, newest first.
     """
     y = sample_mu1(rng, m)
     q_prev = np.zeros(m)
@@ -424,42 +420,39 @@ def _renewal_chunk(
     alive = np.arange(m)
     ratio = np.empty(m)
     n_R = np.empty(m, dtype=np.int64)
-    trail = np.zeros((max(N, 1), m), dtype=np.int64) if N else None
+    trail = np.zeros((N, m), dtype=np.int64)
+    window = []
     while alive.size:
         a = sample_digit_given_state(rng, y)
         q_new = a * q_cur + q_prev
         steps += 1
-        if N:
-            trail[1:, alive] = trail[:-1, alive]
-            trail[0, alive] = a
+        window = ([a] + window)[:N]
+        # index arrays, not masks: each one selects from several lane rows
         done = q_new > R
-        idx = alive[done]
-        ratio[idx] = q_new[done] / R
+        hit = np.flatnonzero(done)
+        idx = alive[hit]
+        ratio[idx] = q_new[hit] / R
         n_R[idx] = steps
-        keep = ~done
+        for r, row in enumerate(window):
+            trail[r, idx] = row[hit]
+        keep = np.flatnonzero(~done)
         alive = alive[keep]
+        window = [row[keep] for row in window]
         y = 1.0 / (a[keep] + y[keep])
         q_prev = q_cur[keep]
         q_cur = q_new[keep]
-    # binning
-    n_tuples = 1 if N == 0 else digit_range**N + 1
-    counts = np.zeros((n_tuples, len(edges)), dtype=np.int64)
+    # binning; at N = 0 every sample falls in the single row 0
     ok = n_R >= N
-    rejected = int(np.sum(~ok))
     col = np.searchsorted(edges, ratio[ok], side="right") - 1
     col = np.minimum(col, len(edges) - 1)
-    if N == 0:
-        row = np.zeros(col.shape, dtype=np.int64)
-    else:
-        digs = trail[:, ok]
-        in_range = np.all((digs >= 1) & (digs <= digit_range), axis=0)
-        row = np.zeros(col.shape, dtype=np.int64)
-        acc = np.zeros(col.shape, dtype=np.int64)
-        for r in range(N):
-            acc = acc * digit_range + (digs[r] - 1)
-        row = np.where(in_range, acc, digit_range**N)
+    digs = trail[:, ok]
+    in_range = np.all((digs >= 1) & (digs <= digit_range), axis=0)
+    row = np.zeros(col.shape, dtype=np.int64)
+    for r in range(N):
+        row = row * digit_range + (digs[r] - 1)
+    row = np.where(in_range, row, digit_range**N)
     np.add.at(counts, (row, col), 1)
-    return counts, rejected
+    return int(np.sum(~ok))
 
 
 def empirical_pn(
@@ -478,8 +471,8 @@ def empirical_pn(
     the same law as expanding a Gauss-measure random number but works at
     any depth in doubles.  The run is chunked over deterministic
     substreams of ``seed``, so results are bit-identical for a given
-    seed regardless of worker count.  Samples whose crossing comes
-    before N digits exist are counted as rejected; more than
+    seed and chunk layout.  Samples whose crossing comes before N
+    digits exist are counted as rejected; more than
     ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
     """
@@ -490,20 +483,20 @@ def empirical_pn(
     if N < 0:
         raise ValueError("N must be non-negative")
     edges = np.asarray(_check_edges(bins if bins is not None else default_ratio_edges()))
-    n_tuples = 1 if N == 0 else digit_range**N + 1
-    counts = np.zeros((n_tuples, len(edges)), dtype=np.int64)
+    tuples = digit_tuple_list(N, digit_range)
+    counts = np.zeros((len(tuples), len(edges)), dtype=np.int64)
     rejected = 0
     for idx, m in enumerate(chunk_sizes(M, chunk)):
-        c, r = _renewal_chunk(substream(seed, idx), m, R, N, edges, digit_range)
-        counts += c
-        rejected += r
+        rejected += _renewal_chunk(
+            substream(seed, idx), m, R, N, edges, digit_range, counts
+        )
     if rejected > max_rejected_fraction * M:
         raise BudgetExceeded(
             f"{rejected} of {M} samples rejected (trailing window too long for R={R})"
         )
     return DistributionTable(
         ratio_bin_edges=tuple(edges),
-        digit_tuples=tuple(digit_tuple_list(N, digit_range)),
+        digit_tuples=tuple(tuples),
         mass=counts / M,
         sample_count=M,
         R_used=R,

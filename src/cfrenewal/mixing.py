@@ -84,29 +84,6 @@ def unstable_leaf_point(base: FlowPoint, alpha_plus_new: float) -> FlowPoint:
         raise OutOfChart(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class LeafSegment:
-    """A parameter range of one leaf through a base flow point."""
-
-    kind: str  # "stable" or "unstable"
-    base: FlowPoint
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("stable", "unstable"):
-            raise ValueError("kind must be 'stable' or 'unstable'")
-        if not 0.0 < self.lo <= self.hi < 1.0:
-            raise ValueError("parameter range must satisfy 0 < lo <= hi < 1")
-
-    def point(self, param: float) -> FlowPoint:
-        if not self.lo <= param <= self.hi:
-            raise ValueError("parameter outside the segment range")
-        if self.kind == "stable":
-            return stable_leaf_point(self.base, param)
-        return unstable_leaf_point(self.base, param)
-
-
 def holonomy_invariant(fp: FlowPoint) -> float:
     """ap * exp(y) / (1 + am * ap): stable-leaf invariant, scales by exp(dy)."""
     am = fp.base.alpha_minus
@@ -206,8 +183,11 @@ class BoxSpec:
             raise ValueError("box cylinders support depth <= 2 per side")
         if any(d < 1 for d in self.plus_digits + self.minus_digits):
             raise ValueError("digit constraints must be positive")
-        if self.y_lo < 0:
-            raise ValueError("height window must start at or above 0")
+        if not 0 <= self.y_lo < self.y_hi:
+            raise ValueError(
+                "height window must satisfy 0 <= y_lo < y_hi, "
+                f"got [{self.y_lo}, {self.y_hi})"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,24 +203,14 @@ class CorrelationEstimate:
     samples: int
 
 
-def _box_membership(
-    box: BoxSpec,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    d0: np.ndarray,
-    d1: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
+def _box_membership(box: BoxSpec, window: list, y: np.ndarray) -> np.ndarray:
+    """Lanes in box, given height y and digit rows (a_2, a_1, a_0, a_-1)."""
     ind = (y >= box.y_lo) & (y < box.y_hi)
-    pd, md = box.plus_digits, box.minus_digits
-    if len(pd) >= 1:
-        ind &= a1 == pd[0]
-    if len(pd) >= 2:
-        ind &= a2 == pd[1]
-    if len(md) >= 1:
-        ind &= d0 == md[0]
-    if len(md) >= 2:
-        ind &= d1 == md[1]
+    for digit, row in [
+        *zip(box.plus_digits, window[1::-1]),
+        *zip(box.minus_digits, window[2:]),
+    ]:
+        ind &= row == digit
     return ind
 
 
@@ -250,33 +220,33 @@ def _correlation_chunk(
     """Accumulated first and second moments of z = (w, w*ab, w*a, w*b).
 
     Each lane starts from a Gauss-distributed state two digits in the
-    past and the chain's next four digits (a_-1, a_0, a_1, a_2); each
-    roof crossing shifts the window and draws one more future digit.
+    past and the chain's next four digits; ``window`` holds them newest
+    first, (a_2, a_1, a_0, a_-1).  Each roof crossing drops the oldest
+    row and draws one more future digit.
     """
     y, digs = sample_mu2_window(rng, 4, size=m)
-    d1, d0, a1, a2 = digs.T
-    s = a1 + 1.0 / (d0 + 1.0 / (d1 + y))  # a_1 + alpha_minus
+    window = list(digs.T[::-1])
+    s = window[1] + 1.0 / (window[2] + 1.0 / (window[3] + y))  # a_1 + alpha_minus
     phi = np.log(s)
     w = phi
     h = rng.random(m) * phi
-    b_ind = _box_membership(B, a1, a2, d0, d1, h)
+    b_ind = _box_membership(B, window, h)
 
     # flow every lane forward by t; A-membership is read where a lane stops
     a_ind = np.empty(m, dtype=bool)
     h = h + t
     alive = np.arange(m)
     while alive.size:
-        over = h >= phi
-        stop = ~over
-        a_ind[alive[stop]] = _box_membership(A, a1, a2, d0, d1, h)[stop]
+        # index arrays, not masks: each one selects from several lane rows
+        over = np.flatnonzero(h >= phi)
+        stop = np.flatnonzero(h < phi)
+        a_ind[alive[stop]] = _box_membership(A, window, h)[stop]
         alive = alive[over]
         h = h[over] - phi[over]
-        d1 = d0[over]
-        d0 = a1[over]
-        a1 = a2[over]
-        # the new alpha_minus 1/s is the chain state that drew a1
-        s = a1 + 1.0 / s[over]
-        a2 = sample_digit_given_state(rng, 1.0 / s)
+        window = [row[over] for row in window[:-1]]
+        # the new alpha_minus 1/s is the chain state that drew a_1
+        s = window[0] + 1.0 / s[over]
+        window.insert(0, sample_digit_given_state(rng, 1.0 / s))
         phi = np.log(s)
 
     z = np.empty((m, 4))
@@ -293,7 +263,6 @@ def correlation_estimate(
     t: float,
     M: int,
     seed: int = 0,
-    chunk: int = 4 * CHUNK,
 ) -> CorrelationEstimate:
     """Estimate of corr(t) = mu3(flow_{-t} A intersect B) - mu3(A) mu3(B).
 
@@ -309,7 +278,7 @@ def correlation_estimate(
         raise ValueError("t must be finite and non-negative")
     m1 = np.zeros(4)
     m2 = np.zeros((4, 4))
-    for idx, m in enumerate(chunk_sizes(M, chunk)):
+    for idx, m in enumerate(chunk_sizes(M, 4 * CHUNK)):
         s1, s2 = _correlation_chunk(substream(seed, idx), m, A, B, t)
         m1 += s1
         m2 += s2

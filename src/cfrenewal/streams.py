@@ -1,9 +1,9 @@
 """Deterministic, splittable random streams for reproducible Monte Carlo.
 
-Workers draw from counter-based Philox generators keyed by (seed, index),
+Chunks draw from counter-based Philox generators keyed by (seed, index),
 so any chunk of work can be recomputed independently and merge order is
-fixed by the chunk index, not by scheduling.  Results are therefore
-bit-identical for a given seed regardless of how many workers run.
+fixed by the chunk index.  Results are therefore bit-identical for a
+given seed and chunk layout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
-    """Fixed partition of a workload, independent of worker count."""
+    """Fixed partition of a workload into chunks of at most ``chunk`` items."""
     if total < 0:
         raise ValueError("total must be non-negative")
     full, rest = divmod(total, chunk)

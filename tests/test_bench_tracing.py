@@ -80,3 +80,26 @@ def test_traced_overshoot_pass_passes_its_check(monkeypatch, tmp_path):
         return json.loads(workload.theory.read_text())["table"]
 
     assert theory_table(work) == theory_table(plain)
+
+
+def test_traced_mixing_op_passes_its_check(monkeypatch, tmp_path):
+    # one correlation-decay curve, at a sample count that keeps it short
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    plain = workloads.Mixing(7, tmp_path, M=50_000)
+    expected = plain.op(plain.next_inputs())
+
+    work = workloads.Mixing(7, tmp_path, M=50_000)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        span = tracer.op_span()
+        result = work.op(work.next_inputs())
+        tracer.exit(span)
+    finally:
+        tracer.uninstall()
+    assert work.check(result) is None
+    assert result == expected
+    assert tracer.summary()["mixing.correlation_estimate"]["calls"] == len(work.times)

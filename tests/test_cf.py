@@ -12,14 +12,10 @@ from cfrenewal.cf import (
     convergents,
     evaluate_cf,
     expand_digits,
-    log_q,
     renewal_index,
-    reversed_quotient_chain,
 )
-from cfrenewal import cf
 from cfrenewal.errors import (
     InsufficientDigits,
-    PrecisionExhausted,
     RationalInput,
     TrailingUnderflow,
 )
@@ -114,36 +110,6 @@ def test_renewal_beyond_available_digits():
 def test_renewal_threshold_below_one_rejected():
     with pytest.raises(ValueError):
         renewal_index((1, 2, 3), 0.5)
-
-
-def test_log_q_matches_exact_denominator():
-    digits = (7, 15, 1, 292, 1, 1, 1, 2)
-    q = convergents(digits)[-1].q
-    assert log_q(digits, 8) == pytest.approx(math.log(q), rel=1e-14)
-
-
-def test_log_q_raises_when_its_two_routes_disagree(monkeypatch):
-    def perturbed(digits):
-        ys = reversed_quotient_chain(digits)
-        ys[1] *= 1.0 + 1e-6
-        return ys
-
-    monkeypatch.setattr(cf, "reversed_quotient_chain", perturbed)
-    direct = math.log(convergents((7, 15, 1, 292))[-1].q)
-    with pytest.raises(PrecisionExhausted, match=f"disagree: {direct!r} vs "):
-        log_q((7, 15, 1, 292), 4)
-
-
-def test_reversed_quotient_chain_entries():
-    # y_k = [0; a_k, ..., a_1] = q_{k-1}/q_k, seeded with y_0 = 0
-    digits = (2, 7, 1, 8, 2, 8)
-    ys = reversed_quotient_chain(digits)
-    cs = convergents(digits)
-    qs = [1] + [c.q for c in cs]
-    assert len(ys) == len(digits) + 1
-    assert ys[0] == 0.0
-    for k in range(1, len(ys)):
-        assert ys[k] == pytest.approx(qs[k - 1] / qs[k], rel=1e-14)
 
 
 @settings(max_examples=300, deadline=None)

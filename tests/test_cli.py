@@ -87,6 +87,27 @@ def test_theory_cell_beyond_the_old_strip_budget(capsys):
     assert repr(theoretical_pn(1.0, 1e6)) in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("digit_range", ["0", "-1"])
+def test_theory_rejects_a_digit_range_below_one(digit_range, tmp_path, capsys):
+    out = tmp_path / "t1.json"
+    argv = ["theory", "--N", "1", "--digit-range", digit_range, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: digit range must be at least 1, got {digit_range}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [None, "1"])
+def test_theory_rejects_non_positive_constraint_digits(
+    a, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["theory", "--c", "0"] + ([] if a is None else ["--a", a])
+    assert main(argv) == 1
+    assert "error: --c digits must be positive, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # -- simulate ----------------------------------------------------------
 
 
@@ -138,6 +159,13 @@ def test_simulate_rejects_an_infinite_threshold(tmp_path, capsys):
     code = main(["simulate", "--R", "inf", "--M", "100", "--out-dir", str(tmp_path)])
     assert code == 1
     assert "error: R must lie in [10, 2**53), got inf" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_digit_range_below_one(tmp_path, capsys):
+    argv = ["simulate", "--N", "1", "--digit-range", "0", "--M", "100"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "error: digit range must be at least 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_output_is_deterministic(tmp_path, capsys):
@@ -388,6 +416,14 @@ def test_mixing_writes_decay_curve(tmp_path, capsys):
 def test_mixing_validates_sample_count(capsys):
     assert main(["mixing", "--t", "1.0", "--M", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ymax", ["nan", "0"])
+def test_mixing_rejects_an_empty_height_window(ymax, capsys):
+    assert main(["mixing", "--t", "1.0", "--M", "1000", "--a-ymax", ymax]) == 1
+    err = capsys.readouterr().err
+    assert "error: height window must satisfy 0 <= y_lo < y_hi" in err
+    assert f"got [0.0, {ymax}" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "mixing"])

@@ -38,7 +38,7 @@ def test_enclosure_bounds_bracket_the_value():
 
 
 def test_from_float_is_exact_for_dyadic_values():
-    x = FixedReal.from_float(0.375, bits=64)
+    x = FixedReal.from_fraction(Fraction(0.375), bits=64)
     assert x.err == 0
     assert x.value == 0.375
 

@@ -144,6 +144,18 @@ def test_flow_round_trips_restore_the_start():
     assert worst < 1e-12
 
 
+def test_backward_round_trips_from_the_floor_return_to_the_floor():
+    # the forward leg re-subtracts the same roofs and can end a few ulp
+    # below the last one, which must still count as its crossing
+    for seed in range(1, 13):
+        p = sample_mu2(substream(seed, 0), depth=64)
+        fp = FlowPoint(p, 0.0)
+        for t in (3.0, 5.0, 8.0, 12.0):
+            back = flow_evolve(flow_evolve(fp, -t), t)
+            assert back.base == p
+            assert back.height == pytest.approx(0.0, abs=1e-12)
+
+
 def test_flow_heights_stay_under_the_roof():
     rng = substream(31, 7)
     p = sample_mu2(rng, depth=128)

@@ -70,14 +70,14 @@ def test_golden_point_is_fixed_by_the_shift():
     s = p.step()
     assert s.alpha_minus == pytest.approx(GOLDEN, abs=1e-15)
     assert s.alpha_plus == pytest.approx(GOLDEN, abs=1e-15)
-    assert p.a1 == 1
+    assert p.digit(1) == 1
 
 
 def test_silver_point_is_fixed_by_the_shift():
     p = NaturalExtPoint.silver()
     s = p.step()
     root = math.sqrt(2) - 1
-    assert p.a1 == 2
+    assert p.digit(1) == 2
     assert s.alpha_minus == pytest.approx(root, abs=1e-15)
     assert s.alpha_plus == pytest.approx(root, abs=1e-15)
 

@@ -10,7 +10,6 @@ from cfrenewal.gauss import NaturalExtPoint
 from cfrenewal.limitlaw import theoretical_pn
 from cfrenewal.mixing import (
     BoxSpec,
-    LeafSegment,
     connect_via_leaves,
     correlation_estimate,
     flow_pair_distance,
@@ -82,32 +81,6 @@ def test_unstable_move_out_of_fiber():
     assert fp.height < roof_phi(fp.base)
     with pytest.raises(OutOfChart):
         unstable_leaf_point(fp, 0.6)
-
-
-# -- leaf segments -----------------------------------------------------
-
-
-def test_segment_points_match_direct_moves():
-    base = _fp(0.37, 0.52, 0.2)
-    seg_s = LeafSegment("stable", base, 0.2, 0.8)
-    seg_u = LeafSegment("unstable", base, 0.2, 0.8)
-    direct_s = stable_leaf_point(base, 0.42)
-    direct_u = unstable_leaf_point(base, 0.42)
-    assert seg_s.point(0.42).height == direct_s.height
-    assert seg_u.point(0.42).base.alpha_plus == direct_u.base.alpha_plus
-
-
-def test_segment_validation():
-    base = _fp(0.37, 0.52, 0.2)
-    with pytest.raises(ValueError):
-        LeafSegment("diagonal", base, 0.2, 0.8)
-    with pytest.raises(ValueError):
-        LeafSegment("stable", base, 0.0, 0.8)
-    with pytest.raises(ValueError):
-        LeafSegment("stable", base, 0.8, 0.2)
-    seg = LeafSegment("stable", base, 0.2, 0.8)
-    with pytest.raises(ValueError):
-        seg.point(0.9)
 
 
 # -- chain connections -------------------------------------------------
@@ -203,6 +176,9 @@ def test_box_validation():
         BoxSpec(minus_digits=(0,))
     with pytest.raises(ValueError):
         BoxSpec(y_lo=-0.1)
+    for y_lo, y_hi in [(0.0, math.nan), (0.0, 0.0), (0.6, 0.5), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="0 <= y_lo < y_hi"):
+            BoxSpec(y_lo=y_lo, y_hi=y_hi)
     box = BoxSpec(plus_digits=[1], y_hi=0.4)
     assert box.plus_digits == (1,)
 
@@ -271,3 +247,12 @@ def test_box_with_past_digits_keeps_its_quadrature_mass_along_the_flow(t):
     c = correlation_estimate(A, A, t, M=M)
     want = theoretical_pn(1.0, math.inf, (1, 2, 1))
     assert abs(c.mass_A - want) <= 5 * math.sqrt(want * (1 - want) / M)
+
+
+def test_correlation_kernel_is_pinned_bit_for_bit():
+    # minus digits and a second plus digit read all four window rows
+    A = BoxSpec((1, 3), (2, 1), 0.1, 0.9)
+    B = BoxSpec((2,), y_hi=0.45)
+    c = correlation_estimate(A, B, t=5.0, M=50_000, seed=5)
+    assert c.value == -7.343489320764535e-06
+    assert c.stderr == 1.8503760517415823e-05
