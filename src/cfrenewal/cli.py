@@ -66,7 +66,6 @@ class RunConfig:
     samples: int = 0
     R_list: tuple[float, ...] = ()
     N: int = 0
-    constraints: tuple[int, ...] = ()
     digit_range: int = 8
     bin_delta: float = 0.05
     bin_count: int = 120
@@ -76,8 +75,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.samples < 0 or self.N < 0:
             raise ValueError("numeric config fields must be positive")
-        if self.constraints and len(self.constraints) != self.N:
-            raise ValueError("N must equal the number of digit constraints")
 
 
 def _sample_count(text: str) -> int:
@@ -93,6 +90,7 @@ def _edges_from(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def _write_table(table: DistributionTable, cfg: RunConfig, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".csv":
         path.write_text(table.to_csv())
     else:
@@ -164,7 +162,6 @@ def cmd_simulate(args) -> int:
     )
     edges = _edges_from(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = []
     for r in r_list:
         table = empirical_pn(
@@ -193,21 +190,24 @@ def cmd_theory(args) -> int:
     constraints = tuple(int(c) for c in args.c.split(",")) if args.c else ()
     if any(c < 1 for c in constraints):
         raise InvalidDigits(f"--c digits must be positive, got {args.c}")
-    n = args.N if args.N is not None else len(constraints)
+    if args.a is not None:
+        if args.N is not None:
+            raise ValueError("--N applies to table mode; cell mode (--a) takes --c")
+        b = math.inf if args.b in (None, "inf") else float(args.b)
+        value = theoretical_pn(float(args.a), b, constraints)
+        print(f"P({args.a}, {b}; c={constraints}) = {value!r}")
+        return 0
+    if constraints:
+        raise ValueError("--c applies to cell mode (--a); table mode takes --N")
+    n = args.N or 0
     cfg = RunConfig(
         command="theory",
         N=n,
-        constraints=constraints,
         digit_range=args.digit_range,
         bin_delta=args.bin_delta,
         bin_count=args.bin_count,
         out_path=args.out or "",
     )
-    if args.a is not None:
-        b = math.inf if args.b in (None, "inf") else float(args.b)
-        value = theoretical_pn(float(args.a), b, constraints)
-        print(f"P({args.a}, {b}; c={constraints}) = {value!r}")
-        return 0
     table = theoretical_table(N=n, bins=_edges_from(cfg), digit_range=cfg.digit_range)
     out = Path(args.out) if args.out else Path(f"theory_N{n}.json")
     _write_table(table, cfg, out)
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("theory", help="closed-form limit law")
     q.add_argument("--a", type=float, default=None, help="single-cell mode: ratio > a")
     q.add_argument("--b", default=None, help="single-cell mode: ratio < b (or inf)")
-    q.add_argument("--N", type=int, default=None)
-    q.add_argument("--c", default="", help="comma list of trailing digit constraints")
+    q.add_argument("--N", type=int, default=None, help="table mode: trailing window")
+    q.add_argument("--c", default="", help="single-cell mode: comma list of digits")
     q.add_argument("--digit-range", dest="digit_range", type=int, default=8)
     q.add_argument("--bin-delta", dest="bin_delta", type=float, default=0.05)
     q.add_argument("--bin-count", dest="bin_count", type=int, default=120)

@@ -12,9 +12,11 @@ failure mode is an interval too wide to decide a discrete question.
 Only the primitives needed by continued-fraction expansion are provided:
 
 * ``floor_recip``  maps x to the certified digit ``floor(1/x)`` together
-  with the enclosed remainder ``1/x - floor(1/x)``;
-* ``recip_shift``  maps x to ``1/(a + x)`` for a known integer a, the
-  backward step used when rebuilding a real from its digits.
+  with the enclosed remainder ``1/x - floor(1/x)``, the step behind
+  ``cf.expand_digits`` and ``gauss.gauss_map`` on certified input;
+* ``recip_shift``  maps x to ``1/(a + x)`` for a known integer a, undoing
+  one ``floor_recip`` step.  The package itself never calls it; the
+  tests use it to check that this direction contracts the error.
 
 Reciprocation magnifies absolute error by roughly 1/x**2, so extracting
 the digits of x down to the n-th level costs about ``2*log2(q_n)`` bits

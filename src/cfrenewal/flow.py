@@ -35,10 +35,10 @@ def roof_phi(p: NaturalExtPoint) -> float:
 
 
 def _forward_digits(p: NaturalExtPoint, n: int) -> tuple[int, ...]:
-    """First n future digits, materializing from the tail if needed."""
-    if len(p.fwd) >= n:
-        return p.fwd[:n]
-    return p.extended(n_fwd=n).fwd[:n]
+    """First n future digits; InsufficientDigits if the window is shorter."""
+    if len(p.fwd) < n:
+        raise InsufficientDigits(f"need {n} future digits, have {len(p.fwd)}")
+    return p.fwd[:n]
 
 
 def birkhoff_sum(p: NaturalExtPoint, r: int) -> float:
@@ -96,24 +96,20 @@ def correction_f(p: NaturalExtPoint, tol: float = 1e-9) -> CorrectionSeries:
 
 
 def renewal_time(p: NaturalExtPoint, t: float) -> int:
-    """Smallest r with S_r > t.  For t < phi(p) this is 1."""
+    """Smallest r with S_r > t.  For t < phi(p) this is 1.
+
+    Raises InsufficientDigits when the forward window ends first.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t!r}")
     y = p.alpha_minus
     total = 0.0
-    r = 0
-    window = 16
-    digits = _forward_digits(p, window)
-    while True:
-        if r == len(digits):
-            window *= 2
-            digits = _forward_digits(p, window)
-        a = digits[r]
+    for r, a in enumerate(p.fwd, start=1):
         total += math.log(a + y)
         y = 1.0 / (a + y)
-        r += 1
         if total > t:
             return r
+    raise InsufficientDigits(f"S_r stays <= t={t} over all {len(p.fwd)} future digits")
 
 
 @dataclass(frozen=True)
@@ -193,14 +189,7 @@ def renewal_vs_flow_check(
     Also reports the defect |ln q_{n_R} - S_{n_R} - f(p)|, which the
     correction estimates bound by 2**(3 - n_R).
     """
-    window = max(32, int(2.0 * math.log(max(R, 2.0))) + 16)
-    while True:
-        digits = _forward_digits(p, window)
-        try:
-            res = renewal_index(digits, R)
-            break
-        except InsufficientDigits:
-            window *= 2
+    res = renewal_index(p.fwd, R)
     n_R = res.n_R
     T = math.log(R) - f_ref
     r = renewal_time(p, T)

@@ -9,8 +9,7 @@ a_1, a_2, ... and alpha_minus = [a_0, a_{-1}, ...] encodes the past:
     inverse:  (am, ap)  ->  ({1/am}, 1/(a_0 + ap))     with a_0 = floor(1/am)
 
 Both directions are the two-sided shift on the digit string, which is
-why points here are stored digit-windows-first, with optional certified
-tails for exact deep expansions.
+why a point here is stored as two finite digit windows, one per side.
 
 Invariant measures, with closed-form samplers:
 
@@ -38,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -48,67 +47,59 @@ from .fixedreal import FixedReal
 
 LN2 = math.log(2.0)
 
-_TAIL_BITS = 192  # scale used for exact remainder tails of float-built points
 
-
-def _eval_digits(digits: Sequence[int], tail: Optional[FixedReal]) -> tuple[int, int]:
-    """Exact value n/d of the window closed by ``tail``, as the pair (n, d).
+def _eval_digits(digits: Sequence[int]) -> tuple[int, int]:
+    """Exact value n/d of a finite digit window, as the pair (n, d).
 
     The backward recursion x -> 1/(a + x) runs on integers as
-    (n, d) -> (d, a*d + n), starting from the tail's center (an error
-    below 2**-_TAIL_BITS) or from 0.  Coordinates are the float n / d;
-    int true division is correctly rounded, so each is rounded exactly
-    once and round-trips bit-for-bit through digit storage.  Stepped
-    points carry their pairs (see ``NaturalExtPoint.step``), so this
-    O(window) loop runs once per orbit, not once per step.
+    (n, d) -> (d, a*d + n), starting from (0, 1).  Coordinates are the
+    float n / d; int true division is correctly rounded, so each is
+    rounded exactly once and round-trips bit-for-bit through digit
+    storage.  Stepped points carry their pairs (see
+    ``NaturalExtPoint.step``), so this O(window) loop runs once per
+    orbit, not once per step.
     """
-    n, d = (0, 1) if tail is None else (tail.mant, 1 << tail.bits)
+    n, d = 0, 1
     for a in reversed(digits):
         n, d = d, a * d + n
     return n, d
 
 
-def float_window(
-    x: float, depth: int = 32
-) -> tuple[tuple[int, ...], Optional[FixedReal]]:
-    """Up to ``depth`` exact digits of a binary64 x in (0,1), plus a certified tail.
+def float_window(x: float) -> tuple[int, ...]:
+    """Every digit of a binary64 x in (0,1).
 
-    The value is the exact dyadic rational it denotes; the Euclidean
-    remainder after the window becomes the tail (None if x terminates
-    within the window), so the digits and tail evaluate back to x
-    bit-for-bit.
+    A binary64 value is a dyadic rational, so its expansion terminates
+    (after 20 to 48 digits for typical values) and the window evaluates
+    back to x exactly.
     """
     frac = Fraction(x)
     num, den = frac.numerator, frac.denominator
     out: list[int] = []
-    while len(out) < depth and num:
+    while num:
         a, rem = divmod(den, num)
         out.append(a)
         num, den = rem, num
-    tail = FixedReal.from_fraction(Fraction(num, den), _TAIL_BITS) if num else None
-    return tuple(out), tail
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class NaturalExtPoint:
-    """A point of the invertible extension, stored as digit windows.
+    """A point of the invertible extension, stored as two finite digit windows.
 
     ``fwd`` holds the future digits (a_1, a_2, ...), ``bwd`` the past
-    digits (a_0, a_-1, ...).  Optional certified tails extend either
-    window; without a tail, coordinate values are evaluated at the
-    window's convergent endpoint, an error below 1/q_n**2 for an n-digit
-    window.  Instances are immutable; ``step`` and ``inverse`` return
-    new points and together realize the two-sided digit shift.  A
-    stepped point carries its exact coordinates, so each step costs O(1)
-    big-int work and flowing for time t costs O(t); the carried state is
-    a cache, not a field, and takes no part in ``==``, ``hash`` or
-    ``repr``.
+    digits (a_0, a_-1, ...).  Coordinate values are evaluated at each
+    window's convergent endpoint: exactly the input for a window built
+    from a float, and within 1/q_n**2 of the true value for an n-digit
+    cut of a longer expansion.  Instances are immutable; ``step`` and
+    ``inverse`` return new points and together realize the two-sided
+    digit shift.  A stepped point carries its exact coordinates, so each
+    step costs O(1) big-int work and flowing for time t costs O(t); the
+    carried state is a cache, not a field, and takes no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     bwd: tuple[int, ...]
     fwd: tuple[int, ...]
-    minus_tail: Optional[FixedReal] = None
-    plus_tail: Optional[FixedReal] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bwd", tuple(int(a) for a in self.bwd))
@@ -119,88 +110,58 @@ class NaturalExtPoint:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_values(
-        cls, alpha_minus: float, alpha_plus: float, depth: int = 32
-    ) -> "NaturalExtPoint":
+    def from_values(cls, alpha_minus: float, alpha_plus: float) -> "NaturalExtPoint":
         """Point with both coordinates given as binary64 values in (0,1).
 
-        Each value, an exact dyadic rational, is expanded to at most
-        ``depth`` digits; the exact remainder is kept as a certified
-        tail, so the coordinates round-trip bit-for-bit.
+        Each value, an exact dyadic rational, is expanded in full, so
+        the coordinates round-trip bit-for-bit.
         """
         if not (0.0 < alpha_minus < 1.0 and 0.0 < alpha_plus < 1.0):
             raise ValueError("coordinates must lie in (0, 1)")
-        bwd, minus_tail = float_window(alpha_minus, depth)
-        fwd, plus_tail = float_window(alpha_plus, depth)
-        return cls(bwd, fwd, minus_tail, plus_tail)
+        return cls(float_window(alpha_minus), float_window(alpha_plus))
 
     @classmethod
-    def golden(cls, depth: int = 48, bits: int = 256) -> "NaturalExtPoint":
-        """The all-ones fixed point ((sqrt(5)-1)/2 on both sides)."""
-        g = FixedReal.golden(bits)
+    def golden(cls, depth: int = 96) -> "NaturalExtPoint":
+        """The all-ones fixed point ((sqrt(5)-1)/2 on both sides), cut at ``depth``."""
         ones = (1,) * depth
-        return cls(ones, ones, g, g)
+        return cls(ones, ones)
 
     @classmethod
-    def silver(cls, depth: int = 48, bits: int = 256) -> "NaturalExtPoint":
-        """The all-twos fixed point (sqrt(2)-1 on both sides)."""
-        s = FixedReal.from_sqrt(2, bits).sub_int(1)
+    def silver(cls, depth: int = 96) -> "NaturalExtPoint":
+        """The all-twos fixed point (sqrt(2)-1 on both sides), cut at ``depth``."""
         twos = (2,) * depth
-        return cls(twos, twos, s, s)
+        return cls(twos, twos)
 
     # -- coordinate views ----------------------------------------------
 
     @cached_property
     def _plus_nd(self) -> tuple[int, int]:
-        return _eval_digits(self.fwd, self.plus_tail)
+        return _eval_digits(self.fwd)
 
     @cached_property
     def _minus_nd(self) -> tuple[int, int]:
-        return _eval_digits(self.bwd, self.minus_tail)
+        return _eval_digits(self.bwd)
 
     @cached_property
     def alpha_plus(self) -> float:
-        if not self.fwd and self.plus_tail is None:
+        if not self.fwd:
             raise InsufficientDigits("no forward information")
         n, d = self._plus_nd
         return n / d
 
     @cached_property
     def alpha_minus(self) -> float:
-        if not self.bwd and self.minus_tail is None:
+        if not self.bwd:
             raise InsufficientDigits("no backward information")
         n, d = self._minus_nd
         return n / d
 
     def digit(self, k: int) -> int:
         """Digit a_k by absolute two-sided index (k >= 1 future, k <= 0 past)."""
-        if k >= 1:
-            window, tail, offset = self.fwd, self.plus_tail, k - 1
-        else:
-            window, tail, offset = self.bwd, self.minus_tail, -k
-        if offset < len(window):
-            return window[offset]
-        if tail is None:
+        window, offset = (self.fwd, k - 1) if k >= 1 else (self.bwd, -k)
+        if offset >= len(window):
             raise InsufficientDigits(f"digit a_{k} outside the cached window")
-        for _ in range(offset - len(window) + 1):
-            a, tail = tail.floor_recip()
-        return a
-
-    def extended(self, n_fwd: int = 0, n_bwd: int = 0) -> "NaturalExtPoint":
-        """Copy with digit windows materialized to at least the given depths."""
-        fwd, ftail = list(self.fwd), self.plus_tail
-        while len(fwd) < n_fwd:
-            if ftail is None:
-                raise InsufficientDigits("forward tail not available")
-            a, ftail = ftail.floor_recip()
-            fwd.append(a)
-        bwd, btail = list(self.bwd), self.minus_tail
-        while len(bwd) < n_bwd:
-            if btail is None:
-                raise InsufficientDigits("backward tail not available")
-            a, btail = btail.floor_recip()
-            bwd.append(a)
-        return NaturalExtPoint(tuple(bwd), tuple(fwd), btail, ftail)
+        return window[offset]
 
     # -- dynamics ------------------------------------------------------
 
@@ -209,23 +170,15 @@ class NaturalExtPoint:
 
         The child's exact coordinates follow in O(1): writing each
         coordinate as n/d, am' = 1/(a_1 + am) = d/(a_1 d + n) and
-        ap' = 1/ap - a_1 = (d - a_1 n)/n.  A digit read off the tail
-        leaves an empty window, whose value is the remaining tail.
+        ap' = 1/ap - a_1 = (d - a_1 n)/n.
         """
-        if self.fwd:
-            a1, new_fwd, ptail = self.fwd[0], self.fwd[1:], self.plus_tail
-            n, d = self._plus_nd
-            plus_nd = (d - a1 * n, n)
-        elif self.plus_tail is not None:
-            a1, ptail = self.plus_tail.floor_recip()
-            new_fwd = ()
-            plus_nd = _eval_digits((), ptail)
-        else:
+        if not self.fwd:
             raise InsufficientDigits("forward digit window exhausted")
+        a1 = self.fwd[0]
+        n, d = self._plus_nd
+        plus_nd = (d - a1 * n, n)
         n, d = self._minus_nd
-        return _shifted(
-            (a1,) + self.bwd, new_fwd, self.minus_tail, ptail, (d, a1 * d + n), plus_nd
-        )
+        return _shifted((a1,) + self.bwd, self.fwd[1:], (d, a1 * d + n), plus_nd)
 
     def inverse(self) -> "NaturalExtPoint":
         """One application of the inverse map: shift digits rightward.
@@ -233,38 +186,24 @@ class NaturalExtPoint:
         The mirror image of ``step``: ap' = d/(a_0 d + n) and
         am' = (d - a_0 n)/n, each coordinate written as n/d.
         """
-        if self.bwd:
-            a0, new_bwd, btail = self.bwd[0], self.bwd[1:], self.minus_tail
-            n, d = self._minus_nd
-            minus_nd = (d - a0 * n, n)
-        elif self.minus_tail is not None:
-            a0, btail = self.minus_tail.floor_recip()
-            new_bwd = ()
-            minus_nd = _eval_digits((), btail)
-        else:
+        if not self.bwd:
             raise InsufficientDigits("backward digit window exhausted")
+        a0 = self.bwd[0]
+        n, d = self._minus_nd
+        minus_nd = (d - a0 * n, n)
         n, d = self._plus_nd
-        return _shifted(
-            new_bwd, (a0,) + self.fwd, btail, self.plus_tail, minus_nd, (d, a0 * d + n)
-        )
+        return _shifted(self.bwd[1:], (a0,) + self.fwd, minus_nd, (d, a0 * d + n))
 
 
-def _shifted(bwd, fwd, minus_tail, plus_tail, minus_nd, plus_nd) -> NaturalExtPoint:
+def _shifted(bwd, fwd, minus_nd, plus_nd) -> NaturalExtPoint:
     """A shifted point with its exact coordinates, built without re-validation.
 
-    Its digits are a checked point's digits plus at most one certified
-    ``floor_recip`` digit, so the O(window) check of ``__post_init__``
-    is skipped; the pairs go where the cached properties keep them.
+    Its digits are a checked point's digits moved across the origin, so
+    the O(window) check of ``__post_init__`` is skipped; the pairs go
+    where the cached properties keep them.
     """
     point = object.__new__(NaturalExtPoint)
-    point.__dict__.update(
-        bwd=bwd,
-        fwd=fwd,
-        minus_tail=minus_tail,
-        plus_tail=plus_tail,
-        _minus_nd=minus_nd,
-        _plus_nd=plus_nd,
-    )
+    point.__dict__.update(bwd=bwd, fwd=fwd, _minus_nd=minus_nd, _plus_nd=plus_nd)
     return point
 
 
@@ -375,14 +314,14 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
     """Draws from the invariant measure of the extension.
 
     Scalar form returns a NaturalExtPoint whose future digits come from
-    the exact conditional chain (depth ``depth``); with ``size`` set,
+    the exact conditional chain (depth ``depth``) and whose past is every
+    digit of the binary64 alpha_minus drawn first; with ``size`` set,
     returns coordinate arrays (alpha_minus, alpha_plus) drawn by the
     two-stage closed-form inverse CDF.
     """
     if size is None:
         y0, digs = sample_mu2_window(rng, depth)
-        bwd, minus_tail = float_window(y0)
-        return NaturalExtPoint(bwd, digs, minus_tail)
+        return NaturalExtPoint(float_window(y0), digs)
     plus = sample_mu1(rng, size)
     v = rng.random(size)
     minus = v / (1.0 + plus * (1.0 - v))

@@ -46,13 +46,11 @@ from .streams import CHUNK, chunk_sizes, substream
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
-    bwd, minus_tail = float_window(new_minus)
-    return NaturalExtPoint(bwd, p.fwd, minus_tail, p.plus_tail)
+    return NaturalExtPoint(float_window(new_minus), p.fwd)
 
 
 def _replace_plus(p: NaturalExtPoint, new_plus: float) -> NaturalExtPoint:
-    fwd, plus_tail = float_window(new_plus)
-    return NaturalExtPoint(p.bwd, fwd, p.minus_tail, plus_tail)
+    return NaturalExtPoint(p.bwd, float_window(new_plus))
 
 
 def stable_leaf_point(base: FlowPoint, alpha_minus_new: float) -> FlowPoint:

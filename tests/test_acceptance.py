@@ -95,12 +95,10 @@ def test_criterion_04_correction_depends_weakly_on_far_digits():
             p1 = sample_mu2(rng, depth=48)
             p2 = sample_mu2(rng, depth=48)
             # splice: shared two-sided window of half-width n, far
-            # digits and tails from the second draw
+            # digits from the second draw
             q2 = NaturalExtPoint(
                 bwd=p1.bwd[:n] + p2.bwd[n:],
                 fwd=p1.fwd[:n] + p2.fwd[n:],
-                minus_tail=p2.minus_tail,
-                plus_tail=p2.plus_tail,
             )
             gap = abs(correction_f(p1).limit - correction_f(q2).limit)
             worst = max(worst, gap * 2.0 ** n / 16.0)

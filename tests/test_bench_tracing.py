@@ -6,6 +6,7 @@ a refactor under ``src/`` would otherwise only break traced benchmark
 runs.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -50,6 +51,18 @@ def test_traced_exact_op_passes_its_check(monkeypatch, tmp_path):
     assert work.check(result) is None
     assert repr(result) == repr(expected)
     assert tracer.crossings() > 0
+
+
+def test_exact_ops_reproduce_their_pinned_outputs(monkeypatch, tmp_path):
+    # flow round trips, leaf moves and renewal checks on sampled points:
+    # a change to the digit windows or the stepper must not move any of them
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    work = workloads.Exact(7, tmp_path)
+    outputs = [work.op(work.next_inputs()) for _ in range(50)]
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "926511e06b2808cda028207b2728640fb219e7598a1025a2e45e72a1d60f6c85"
 
 
 def test_traced_overshoot_pass_passes_its_check(monkeypatch, tmp_path):

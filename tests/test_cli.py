@@ -108,6 +108,22 @@ def test_theory_rejects_non_positive_constraint_digits(
     assert not list(tmp_path.iterdir())
 
 
+def test_theory_table_mode_rejects_constraint_digits(tmp_path, capsys, monkeypatch):
+    # a table is never constrained, so --c there would be ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["theory", "--N", "1", "--c", "3"]) == 1
+    assert "error: --c applies to cell mode" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_theory_cell_mode_rejects_a_table_width(tmp_path, capsys, monkeypatch):
+    # one cell takes its trailing digits from --c, so --N there would be ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["theory", "--a", "1", "--N", "1"]) == 1
+    assert "error: --N applies to table mode" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # -- simulate ----------------------------------------------------------
 
 
@@ -166,6 +182,21 @@ def test_simulate_rejects_a_digit_range_below_one(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert "error: digit range must be at least 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_rejected_run_makes_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "newdir"
+    argv = ["simulate", "--N", "1", "--digit-range", "0", "--M", "10"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    assert "error: digit range must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_simulate_makes_a_missing_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b"
+    argv = ["simulate", "--R", "1e4", "--M", "200", "--bin-count", "5"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 0
+    assert [p.name for p in out_dir.iterdir()] == ["simulate_R10000.json"]
 
 
 def test_simulate_output_is_deterministic(tmp_path, capsys):

@@ -178,9 +178,9 @@ def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     calls = []
     evaluate = gauss._eval_digits
 
-    def counting(digits, tail):
+    def counting(digits):
         calls.append(len(digits))
-        return evaluate(digits, tail)
+        return evaluate(digits)
 
     monkeypatch.setattr(gauss, "_eval_digits", counting)
     p = sample_mu2(substream(31, 12), depth=800)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrenewal.cf import evaluate_cf
 from cfrenewal.errors import (
     CFRenewalError,
     InsufficientDigits,
@@ -133,6 +134,24 @@ def test_from_values_reproduces_its_inputs(am, ap):
     assert p.alpha_plus == ap
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(
+        st.tuples(
+            st.floats(min_value=1e-3, max_value=0.999),
+            st.floats(min_value=1e-3, max_value=0.999),
+        ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap)),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: sample_mu2(substream(seed, 4), depth=8)
+        ),
+    )
+)
+def test_windows_hold_every_digit_of_a_float(p):
+    # a binary64 value is a dyadic rational with a finite expansion, and
+    # the backward window of a float-built point keeps all of it
+    assert evaluate_cf(p.bwd, exact=True) == Fraction(p.alpha_minus)
+
+
 def test_backward_orbit_of_golden_stays_golden():
     p = NaturalExtPoint.golden()
     for _ in range(40):
@@ -159,7 +178,7 @@ _walk_starts = st.one_of(
     st.tuples(
         st.floats(min_value=1e-3, max_value=0.999),
         st.floats(min_value=1e-3, max_value=0.999),
-    ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap, depth=3)),
+    ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap)),
     st.sampled_from([NaturalExtPoint.golden(depth=4), NaturalExtPoint.silver(depth=4)]),
 )
 
@@ -168,21 +187,19 @@ _walk_starts = st.one_of(
 @given(start=_walk_starts, moves=st.lists(st.booleans(), max_size=40))
 def test_stepped_points_carry_bit_identical_coordinates(start, moves):
     # step/inverse hand the child its exact coordinates; a point built
-    # fresh from the same digits and tails must read the same floats
+    # fresh from the same digits must read the same floats
     p = start
     for forward in moves:
         try:
             q = p.step() if forward else p.inverse()
         except CFRenewalError:
-            continue  # window and tail exhausted on this side
-        fresh = NaturalExtPoint(q.bwd, q.fwd, q.minus_tail, q.plus_tail)
+            continue  # window exhausted on this side
+        fresh = NaturalExtPoint(q.bwd, q.fwd)
         assert _coordinates(q) == _coordinates(fresh)
         assert repr(q) == repr(fresh)
-        # undoing the move gives p back, with a digit read off a tail
-        # now sitting in its window
+        # undoing the move gives p back
         back = q.inverse() if forward else q.step()
-        expected = p.extended(n_fwd=len(back.fwd), n_bwd=len(back.bwd))
-        assert back == expected and hash(back) == hash(expected)
+        assert back == p and hash(back) == hash(p)
         assert _coordinates(back) == _coordinates(p)
         p = q
 
