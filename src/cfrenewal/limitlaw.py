@@ -45,7 +45,7 @@ from .errors import (
 from .gauss import LN2, interval_for_digits, sample_digit_given_state, sample_mu1
 # bench/tracing.py wraps limitlaw.mapped_nodes by name; nothing here calls it
 from .quadrature import mapped_nodes  # noqa: F401
-from .streams import CHUNK, chunk_sizes, substream
+from .streams import CHUNK, chunk_sizes, run_chunks, substream
 
 LEVY_CONSTANT = math.pi**2 / (12.0 * LN2)
 
@@ -191,6 +191,31 @@ def digit_tuple_list(N: int, digit_range: int) -> list:
     if digit_range < 1:
         raise InvalidBins(f"digit range must be at least 1, got {digit_range}")
     return [t for t in product(range(1, digit_range + 1), repeat=N)] + [None]
+
+
+# 2**24 cells of float64 mass take 134 MB
+_MAX_CELLS = 1 << 24
+
+
+def _table_layout(
+    N: int, bins: Optional[Sequence[float]], digit_range: int
+) -> tuple[tuple[float, ...], list]:
+    """Checked ratio edges and digit tuples of a table.
+
+    A table over _MAX_CELLS cells is refused before its tuples are built.
+    """
+    edges = _check_edges(bins if bins is not None else default_ratio_edges())
+    if N > 0 and digit_range >= 1:
+        # a digit range of 2 or more passes the cap long before N = 64,
+        # and the exponent stays small whatever N the caller gives
+        cells = (digit_range ** min(N, 64) + 1) * len(edges)
+        if cells > _MAX_CELLS:
+            count = cells if N <= 64 else "more than 2**64"
+            raise InvalidBins(
+                f"N={N} with digit range {digit_range} makes {count} "
+                f"table cells, over the cap of {_MAX_CELLS}"
+            )
+    return edges, digit_tuple_list(N, digit_range)
 
 
 _CSV_HEADER = ["digits", "ratio_lo", "ratio_hi", "mass", "error"]
@@ -411,48 +436,64 @@ def _renewal_chunk(
     The digit chain runs in doubles.  Denominators below 2**53 are exact
     in binary64 and larger ones round to at least 2**53, so for R below
     2**53 (which empirical_pn enforces) the crossing step is exact.
-    Each live lane keeps its newest N digits in ``window``, newest first.
+    A lane is binned at the step it crosses R and then dropped; a lane
+    that crosses before N digits exist is rejected.  Each live lane
+    keeps its newest N digits in ``window``, newest first, clipped to
+    digit_range + 1, which stands for every digit beyond the range.
     """
-    y = sample_mu1(rng, m)
-    q_prev = np.zeros(m)
-    q_cur = np.ones(m)
+    # lane buffers, allocated once per chunk and compacted in place: fresh
+    # lane arrays at every step fragment each thread's heap and raise the
+    # peak RSS; the two newest denominators swap buffers at every step
+    y_lanes = sample_mu1(rng, m)
+    q_prev_lanes = np.zeros(m)
+    q_cur_lanes = np.ones(m)
+    product = np.empty(m)
+    beyond = digit_range + 1
+    digit_dtype = np.min_scalar_type(beyond)
+    overflow_row = digit_range**N
+    last_col = len(edges) - 1
+    rejected = 0
     steps = 0
-    alive = np.arange(m)
-    ratio = np.empty(m)
-    n_R = np.empty(m, dtype=np.int64)
-    trail = np.zeros((N, m), dtype=np.int64)
     window = []
-    while alive.size:
+    live = m
+    while live:
+        y = y_lanes[:live]
         a = sample_digit_given_state(rng, y)
-        q_new = a * q_cur + q_prev
         steps += 1
-        window = ([a] + window)[:N]
-        # index arrays, not masks: each one selects from several lane rows
+        q_new = q_prev_lanes[:live]
+        np.multiply(a, q_cur_lanes[:live], out=product[:live])
+        q_new += product[:live]
+        q_prev_lanes, q_cur_lanes = q_cur_lanes, q_prev_lanes
+        y += a
+        np.reciprocal(y, out=y)
+        if N:
+            np.minimum(a, beyond, out=a)
+            window = [a.astype(digit_dtype)] + window[: N - 1]
         done = q_new > R
-        hit = np.flatnonzero(done)
-        idx = alive[hit]
-        ratio[idx] = q_new[hit] / R
-        n_R[idx] = steps
-        for r, row in enumerate(window):
-            trail[r, idx] = row[hit]
-        keep = np.flatnonzero(~done)
-        alive = alive[keep]
-        window = [row[keep] for row in window]
-        y = 1.0 / (a[keep] + y[keep])
-        q_prev = q_cur[keep]
-        q_cur = q_new[keep]
-    # binning; at N = 0 every sample falls in the single row 0
-    ok = n_R >= N
-    col = np.searchsorted(edges, ratio[ok], side="right") - 1
-    col = np.minimum(col, len(edges) - 1)
-    digs = trail[:, ok]
-    in_range = np.all((digs >= 1) & (digs <= digit_range), axis=0)
-    row = np.zeros(col.shape, dtype=np.int64)
-    for r in range(N):
-        row = row * digit_range + (digs[r] - 1)
-    row = np.where(in_range, row, digit_range**N)
-    np.add.at(counts, (row, col), 1)
-    return int(np.sum(~ok))
+        crossed = int(np.count_nonzero(done))
+        if not crossed:
+            continue
+        if steps < N:
+            rejected += crossed
+        else:
+            # at N = 0 every sample falls in the single row 0
+            col = np.searchsorted(edges, q_new[done] / R, side="right") - 1
+            np.minimum(col, last_col, out=col)
+            row = np.zeros(crossed, dtype=np.int64)
+            outside = np.zeros(crossed, dtype=bool)
+            for digits in window:
+                d = digits[done]
+                row = row * digit_range + (d - 1)
+                outside |= d == beyond
+            row[outside] = overflow_row
+            np.add.at(counts, (row, col), 1)
+        keep = ~done
+        kept = live - crossed
+        for lanes in (y_lanes, q_prev_lanes, q_cur_lanes):
+            lanes[:kept] = lanes[:live][keep]
+        window = [digits[keep] for digits in window]
+        live = kept
+    return rejected
 
 
 def empirical_pn(
@@ -470,9 +511,11 @@ def empirical_pn(
     Samples are drawn by the exact conditional digit chain, which has
     the same law as expanding a Gauss-measure random number but works at
     any depth in doubles.  The run is chunked over deterministic
-    substreams of ``seed``, so results are bit-identical for a given
-    seed and chunk layout.  Samples whose crossing comes before N
-    digits exist are counted as rejected; more than
+    substreams of ``seed``, and the chunks run at the same time on the
+    CPUs the process may use.  Rejections merge by chunk index and bin
+    counts are integers, so results are bit-identical for a given seed
+    and chunk layout, whatever the CPU count.  Samples whose crossing
+    comes before N digits exist are counted as rejected; more than
     ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
     """
@@ -482,14 +525,24 @@ def empirical_pn(
         raise ValueError(f"R must lie in [10, 2**53), got {R}")
     if N < 0:
         raise ValueError("N must be non-negative")
-    edges = np.asarray(_check_edges(bins if bins is not None else default_ratio_edges()))
-    tuples = digit_tuple_list(N, digit_range)
-    counts = np.zeros((len(tuples), len(edges)), dtype=np.int64)
-    rejected = 0
-    for idx, m in enumerate(chunk_sizes(M, chunk)):
-        rejected += _renewal_chunk(
-            substream(seed, idx), m, R, N, edges, digit_range, counts
-        )
+    edges, tuples = _table_layout(N, bins, digit_range)
+    edges = np.asarray(edges)
+    sizes = chunk_sizes(M, chunk)
+    rejected_by_chunk = [0] * len(sizes)
+
+    def drain(take):
+        # one counts table per thread, so no two threads add into one array
+        counts = np.zeros((len(tuples), len(edges)), dtype=np.int64)
+        for idx in iter(take, None):
+            rejected_by_chunk[idx] = _renewal_chunk(
+                substream(seed, idx), sizes[idx], R, N, edges, digit_range, counts
+            )
+        return counts
+
+    counts, *others = run_chunks(len(sizes), drain)
+    for part in others:
+        counts += part
+    rejected = sum(rejected_by_chunk)
     if rejected > max_rejected_fraction * M:
         raise BudgetExceeded(
             f"{rejected} of {M} samples rejected (trailing window too long for R={R})"
@@ -516,8 +569,7 @@ def theoretical_table(
     tuple takes what the enumerated tuples miss, and its bound
     accumulates theirs.
     """
-    edges = _check_edges(bins if bins is not None else default_ratio_edges())
-    tuples = digit_tuple_list(N, digit_range)
+    edges, tuples = _table_layout(N, bins, digit_range)
     a = np.asarray(edges)
     b = np.append(a[1:], math.inf)
     plain = _ratio_law(a, b)

@@ -3,7 +3,10 @@
 Chunks draw from counter-based Philox generators keyed by (seed, index),
 so any chunk of work can be recomputed independently and merge order is
 fixed by the chunk index.  Results are therefore bit-identical for a
-given seed and chunk layout.
+given seed and chunk layout.  ``run_chunks`` runs the chunks of one call
+at the same time, on the CPUs the process may use; a caller that merges
+by chunk index, or sums integer counts, gets the same bits whatever the
+CPU count.
 """
 
 from __future__ import annotations
@@ -24,3 +27,56 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
         raise ValueError("total must be non-negative")
     full, rest = divmod(total, chunk)
     return [chunk] * full + ([rest] if rest else [])
+
+
+def run_chunks(count: int, drain) -> list:
+    """Run ``drain(take)`` on the calling thread and on one worker thread
+    per further CPU this process may use, with no more threads than chunks.
+
+    ``take()`` hands out each chunk index 0..count-1 once, to whichever
+    thread asks first, and then None.  Returns the drains' results, the
+    calling thread's first.  With one CPU or one chunk no thread starts.
+    If a drain raises, no further index is handed out, every thread is
+    joined, and the first exception is raised to the caller.
+    """
+    # local imports leave the cost of importing the package unchanged
+    import os
+    import threading
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    width = min(cpus, count)
+    indices = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+    results: list = [None] * max(width, 1)
+    failures: list[BaseException] = []
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(indices, None)
+
+    def guarded(slot: int) -> None:
+        try:
+            results[slot] = drain(take)
+        except BaseException as exc:  # re-raised on the calling thread below
+            failures.append(exc)
+            stop.set()
+
+    started = []
+    try:
+        for slot in range(1, width):
+            worker = threading.Thread(target=guarded, args=(slot,))
+            worker.start()
+            started.append(worker)
+        guarded(0)
+    finally:
+        # also stops the workers when a start fails or the caller is interrupted
+        stop.set()
+        for worker in started:
+            worker.join()
+    if failures:
+        raise failures[0]
+    return results

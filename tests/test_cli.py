@@ -184,6 +184,13 @@ def test_simulate_rejects_a_digit_range_below_one(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_refuses_a_table_over_the_cell_cap(tmp_path, capsys):
+    argv = ["simulate", "--N", "6", "--digit-range", "50", "--M", "100"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "error: N=6 with digit range 50 makes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rejected_run_makes_no_out_dir(tmp_path, capsys):
     out_dir = tmp_path / "newdir"
     argv = ["simulate", "--N", "1", "--digit-range", "0", "--M", "10"]

@@ -13,10 +13,14 @@ that run.
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cfrenewal import limitlaw
 from cfrenewal.errors import (
     BudgetExceeded,
     IncompatibleTables,
@@ -162,6 +166,93 @@ def test_trailing_window_sampler_is_pinned_bit_for_bit():
     assert digest == "cb7232a480e40ab9075fbe8c13a556be7e3ddd76f7c0881aaba1bd1d308559c3"
 
 
+# pins taken from the serial kernel, before chunks ran on threads
+MULTI_CHUNK_PINS = [
+    (
+        dict(R=1e6, M=300_000, N=2, seed=123),
+        "6be0463990400d994117ba4c1eba6c45679892b2c2a3620dd9561e244738d4a3",
+        0,
+    ),
+    (
+        dict(R=10, M=20_000, N=3, seed=123, chunk=1 << 12, max_rejected_fraction=1.0),
+        "747563280a39cde40715d269ac2acc9897d388340d283598ea9847906be44b00",
+        7252,
+    ),
+    (
+        dict(R=1e4, M=50_000, N=1, digit_range=300, seed=5, chunk=1 << 13),
+        "6658b7c6d2c014577ea6997d2b10c3a870af2df2271dc641a60cf392a46417f2",
+        0,
+    ),
+    (
+        dict(R=1e9, M=40_000, N=0, seed=9, chunk=1 << 12),
+        "bf1b979c8833bf69ed4b07495d167a38f6743d6a6fbfbb5429d530ee222f0782",
+        0,
+    ),
+]
+
+
+def _force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kwargs, digest, rejected", MULTI_CHUNK_PINS)
+def test_multi_chunk_tables_are_pinned_whatever_the_cpu_count(
+    kwargs, digest, rejected, cpus, monkeypatch
+):
+    _force_cpus(monkeypatch, cpus)
+    t = empirical_pn(**kwargs)
+    assert hashlib.sha256(t.mass.tobytes()).hexdigest() == digest
+    assert json.loads(json.dumps(t.to_json_dict()))["rejected"] == rejected
+
+
+def test_one_cpu_runs_inline(monkeypatch):
+    _force_cpus(monkeypatch, 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started with one CPU")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    t = empirical_pn(R=1e4, M=3000, seed=1, chunk=1000)
+    assert t.sample_count == 3000
+
+
+def test_a_failing_chunk_is_raised_and_its_threads_are_joined(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    real_chunk = limitlaw._renewal_chunk
+
+    def fail_on_chunk_one(rng, m, *args):
+        # with M = 4096 + 100 and chunk = 4096, only chunk 1 has 100 lanes
+        if m == 100:
+            raise RuntimeError("chunk 1 failed")
+        return real_chunk(rng, m, *args)
+
+    monkeypatch.setattr(limitlaw, "_renewal_chunk", fail_on_chunk_one)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        empirical_pn(R=1e4, M=4096 + 100, seed=1, chunk=4096)
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=5.0)
+    assert threading.active_count() == before
+
+
+def test_more_threads_than_cores_lose_no_count(monkeypatch):
+    # a lost update in the merge of counts or rejections would change the bytes
+    kwargs = dict(R=10.0, M=20_000, N=2, seed=4, chunk=1 << 8, max_rejected_fraction=1.0)
+    _force_cpus(monkeypatch, 1)
+    serial = empirical_pn(**kwargs)
+    _force_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = empirical_pn(**kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.mass.tobytes() == serial.mass.tobytes()
+    assert threaded.rejected == serial.rejected > 0
+
+
 def test_sampler_regression_pin():
     # guards the sampling engine against silent behavioral drift
     t = empirical_pn(R=1e6, M=50000, N=0, bins=(1.0, 1.5, 2.0), seed=123)
@@ -226,6 +317,22 @@ def test_digit_tuple_enumeration():
     ts = digit_tuple_list(2, 3)
     assert len(ts) == 10 and ts[-1] is None
     assert ts[0] == (1, 1) and ts[-2] == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [theoretical_table, lambda **kw: empirical_pn(R=1e4, M=10, **kw)],
+    ids=["theory", "sampler"],
+)
+@pytest.mark.parametrize(
+    "N, cells",
+    # 50**6 + 1 digit tuples over 121 ratio columns
+    [(6, "1890625000121"), (10**9, "more than 2\\*\\*64")],
+)
+def test_tables_over_the_cell_cap_are_refused_before_they_are_built(make, N, cells):
+    message = f"N={N} with digit range 50 makes {cells} table cells"
+    with pytest.raises(InvalidBins, match=message):
+        make(N=N, digit_range=50)
 
 
 def test_table_validation():
