@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the sample-count check."""
 
 
 class CFRenewalError(Exception):
@@ -38,7 +38,7 @@ class InvalidBins(CFRenewalError):
 
 
 class InvalidSampleCount(CFRenewalError):
-    """A Monte Carlo routine was asked for a non-positive sample count."""
+    """A Monte Carlo routine was asked for a count that is not a positive integer."""
 
 
 class BudgetExceeded(CFRenewalError):
@@ -55,3 +55,20 @@ class OutOfChart(CFRenewalError):
 
 class Unreachable(CFRenewalError):
     """Two flow points cannot be joined by a stable/unstable leaf chain."""
+
+
+def sample_count(M) -> int:
+    """M as an int, if it is a positive integer; else InvalidSampleCount.
+
+    Python and numpy integers pass; a bool, a float (even 1e4) or any
+    other non-integral value does not.
+    """
+    try:
+        if isinstance(M, bool):
+            raise TypeError
+        M = M.__index__()
+    except (AttributeError, TypeError):
+        raise InvalidSampleCount(f"M must be an integer, got {M!r}") from None
+    if M < 1:
+        raise InvalidSampleCount(f"M must be positive, got {M}")
+    return M

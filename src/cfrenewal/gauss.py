@@ -25,10 +25,11 @@ chain with transition kernel
     P(a = k | y) = (1+y) / ((k+y)(k+y+1)),    y' = 1/(k+y),
 
 which this module samples vectorized over lanes
-(``sample_digit_given_state``) and, for one point, in a scalar loop
-(``sample_mu2_window``); it is the workhorse behind every large Monte
-Carlo run in the package, because it produces exact-law digit strings
-of unlimited depth in plain doubles.
+(``sample_digit_given_state``; ``mixing``'s lane kernel runs its
+inverse CDF on buffers it owns) and, for one point, in a scalar loop
+(``sample_mu2_window``).  Every Monte Carlo run in the package draws
+its digits from this one chain, because it produces exact-law digit
+strings of unlimited depth in plain doubles.
 """
 
 from __future__ import annotations
@@ -266,15 +267,28 @@ def sample_digit_given_state(rng: np.random.Generator, y: np.ndarray) -> np.ndar
     is k = ceil((1+y)/(1-u) - 1 - y), floored at 1.
     """
     y = np.asarray(y, dtype=float)
-    # in place: fresh lane-sized arrays dominate the cost of a chain step
-    k = rng.random(y.shape)
-    np.subtract(1.0, k, out=k)
-    np.divide(1.0 + y, k, out=k)
-    k -= 1.0
-    k -= y
-    np.ceil(k, out=k)
-    np.maximum(k, 1.0, out=k)
+    k = _draw_digits(rng, y, np.empty(y.shape), np.empty(y.shape))
     return k.astype(np.int64)
+
+
+def _draw_digits(
+    rng: np.random.Generator, y: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """The inverse CDF of ``sample_digit_given_state``, into caller-owned buffers.
+
+    Writes the digits, as floats, into ``out``; ``work`` is scratch of
+    y's shape.  Nothing is allocated: fresh lane-sized arrays dominate
+    the cost of a chain step, so a lane kernel owns these buffers.
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.add(1.0, y, out=work)
+    np.divide(work, out, out=out)
+    out -= 1.0
+    out -= y
+    np.ceil(out, out=out)
+    np.maximum(out, 1.0, out=out)
+    return out
 
 
 def sample_mu2_window(rng: np.random.Generator, depth: int, size=None):

@@ -40,7 +40,7 @@ from .errors import (
     IncompatibleTables,
     InvalidBins,
     InvalidDigits,
-    InvalidSampleCount,
+    sample_count,
 )
 from .gauss import LN2, interval_for_digits, sample_digit_given_state, sample_mu1
 # bench/tracing.py wraps limitlaw.mapped_nodes by name; nothing here calls it
@@ -519,8 +519,7 @@ def empirical_pn(
     ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
     """
-    if M < 1:
-        raise InvalidSampleCount("M must be positive")
+    M = sample_count(M)
     if not 10 <= R < 2**53:
         raise ValueError(f"R must lie in [10, 2**53), got {R}")
     if N < 0:

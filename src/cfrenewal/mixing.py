@@ -23,7 +23,8 @@ Carlo over boxes (cylinder sets crossed with height windows).  Each
 sampled orbit runs on the exact conditional digit chain of ``gauss``:
 every digit it meets is a chain draw, never a digit read off a float
 iterate of the Gauss map, so the estimate is exact in law at any flow
-time.
+time.  Its chunks of lanes run at the same time on the CPUs the process
+may use, and the estimate is bit-identical whatever their number.
 """
 
 from __future__ import annotations
@@ -33,16 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSampleCount, OutOfChart, Unreachable
+from .errors import OutOfChart, Unreachable, sample_count
 from .flow import FlowPoint, flow_evolve, roof_phi
 from .gauss import (
     NaturalExtPoint,
+    _draw_digits,
     float_window,
-    sample_digit_given_state,
+    sample_mu1,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
-    sample_mu2_window,
 )
-from .streams import CHUNK, chunk_sizes, substream
+from .streams import CHUNK, allowed_cpus, chunk_sizes, run_chunks, substream
+
+_BLOCK = 1 << 15  # lanes per step of the in-place compaction
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
@@ -167,7 +170,11 @@ def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """A cylinder set of depth at most two per side, crossed with a height window."""
+    """A cylinder set of depth at most two per side, crossed with a height window.
+
+    Digits are positive integers (Python or numpy, not bool) and are
+    stored as ints.
+    """
 
     plus_digits: tuple[int, ...] = ()
     minus_digits: tuple[int, ...] = ()
@@ -175,8 +182,11 @@ class BoxSpec:
     y_hi: float = math.inf
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "plus_digits", tuple(self.plus_digits))
-        object.__setattr__(self, "minus_digits", tuple(self.minus_digits))
+        for name in ("plus_digits", "minus_digits"):
+            digits = tuple(getattr(self, name))
+            if any(isinstance(d, bool) or not hasattr(d, "__index__") for d in digits):
+                raise ValueError(f"{name} must be integers, got {digits!r}")
+            object.__setattr__(self, name, tuple(d.__index__() for d in digits))
         if len(self.plus_digits) > 2 or len(self.minus_digits) > 2:
             raise ValueError("box cylinders support depth <= 2 per side")
         if any(d < 1 for d in self.plus_digits + self.minus_digits):
@@ -201,53 +211,104 @@ class CorrelationEstimate:
     samples: int
 
 
-def _box_membership(box: BoxSpec, window: list, y: np.ndarray) -> np.ndarray:
-    """Lanes in box, given height y and digit rows (a_2, a_1, a_0, a_-1)."""
+def _box_membership(
+    box: BoxSpec, window: list, y: np.ndarray, at=slice(None)
+) -> np.ndarray:
+    """Lanes ``at`` in box, given height y and digit rows (a_2, a_1, a_0, a_-1)."""
+    y = y[at]
     ind = (y >= box.y_lo) & (y < box.y_hi)
     for digit, row in [
         *zip(box.plus_digits, window[1::-1]),
         *zip(box.minus_digits, window[2:]),
     ]:
-        ind &= row == digit
+        ind &= row[at] == digit
     return ind
+
+
+def _compact(keep: np.ndarray, buffers) -> int:
+    """Move the lanes where ``keep`` holds to the front of every buffer, in order.
+
+    Returns their count.  Block by block, so the index arrays and copies
+    stay small next to the lane buffers.
+    """
+    kept = 0
+    for start in range(0, keep.size, _BLOCK):
+        block = np.flatnonzero(keep[start : start + _BLOCK]) + start
+        for lanes in buffers:
+            lanes[kept : kept + block.size] = lanes[block]
+        kept += block.size
+    return kept
 
 
 def _correlation_chunk(
     rng: np.random.Generator, m: int, A: BoxSpec, B: BoxSpec, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated first and second moments of z = (w, w*ab, w*a, w*b).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Importance weights and the A and B indicators of one chunk of lanes.
 
-    Each lane starts from a Gauss-distributed state two digits in the
-    past and the chain's next four digits; ``window`` holds them newest
-    first, (a_2, a_1, a_0, a_-1).  Each roof crossing drops the oldest
-    row and draws one more future digit.
+    Each lane starts from a Gauss-distributed chain state two digits in
+    the past and draws the chain's next four digits (a_-1, a_0, a_1, a_2).
+    A lane carries s = a_1 + alpha_minus, whose logarithm is its roof,
+    and its window of digits newest first: the newest as an unclipped
+    float, because it enters the next s, and the older ones clipped to
+    one more than any box digit, which stands for every digit no box
+    names.  Each roof crossing sets s to newest + 1/s, drops the oldest
+    row and draws one more future digit from the chain state 1/s.
+    B-membership is read at the start, A-membership where a lane stops.
     """
-    y, digs = sample_mu2_window(rng, 4, size=m)
-    window = list(digs.T[::-1])
-    s = window[1] + 1.0 / (window[2] + 1.0 / (window[3] + y))  # a_1 + alpha_minus
-    phi = np.log(s)
-    w = phi
-    h = rng.random(m) * phi
-    b_ind = _box_membership(B, window, h)
-
-    # flow every lane forward by t; A-membership is read where a lane stops
+    boxed = A.plus_digits + A.minus_digits + B.plus_digits + B.minus_digits
+    beyond = max(boxed, default=0) + 1
+    # the results come first, so the lane buffers after them are freed as
+    # one block; allocated later, they left holes that raised peak RSS
+    w = np.empty(m)
     a_ind = np.empty(m, dtype=bool)
-    h = h + t
-    alive = np.arange(m)
-    while alive.size:
-        # index arrays, not masks: each one selects from several lane rows
-        over = np.flatnonzero(h >= phi)
-        stop = np.flatnonzero(h < phi)
-        a_ind[alive[stop]] = _box_membership(A, window, h)[stop]
-        alive = alive[over]
-        h = h[over] - phi[over]
-        window = [row[over] for row in window[:-1]]
-        # the new alpha_minus 1/s is the chain state that drew a_1
-        s = window[0] + 1.0 / s[over]
-        window.insert(0, sample_digit_given_state(rng, 1.0 / s))
-        phi = np.log(s)
+    # lane buffers, allocated once per chunk and compacted in place, as in
+    # limitlaw._renewal_chunk: fresh lane arrays at every crossing took
+    # more than a third of the chunk's time
+    y = sample_mu1(rng, m)  # the chain state that draws the next digit
+    s = np.empty(m)
+    newest = np.empty(m)
+    work = np.empty(m)
+    rows = [np.empty(m, dtype=np.min_scalar_type(beyond)) for _ in range(3)]
+    for row in reversed(rows):
+        _draw_digits(rng, y, newest, work)
+        np.minimum(newest, beyond, out=row, casting="unsafe")
+        np.add(newest, y, out=s)
+        np.divide(1.0, s, out=y)
+    _draw_digits(rng, y, newest, work)
+    np.log(s, out=w)
+    h = rng.random(m)
+    h *= w
+    b_ind = _box_membership(B, [newest, *rows], h)
 
-    z = np.empty((m, 4))
+    # flow every lane forward by t, keeping only the rows A reads
+    rows = rows[: 1 + len(A.minus_digits)]
+    h += t
+    lane = np.arange(m, dtype=np.min_scalar_type(m))
+    live = m
+    while live:
+        # y is spent until the step below, so it holds the roof meanwhile
+        phi = np.log(s[:live], out=y[:live])
+        over = h[:live] >= phi
+        stop = np.flatnonzero(~over)
+        a_ind[lane[stop]] = _box_membership(A, [newest, *rows], h, stop)
+        h[:live] -= phi
+        if stop.size:
+            live = _compact(over, (h, s, newest, lane, *rows))
+        # the step: s = newest + 1/s, then the oldest row takes the newest digit
+        np.divide(1.0, s[:live], out=y[:live])
+        np.add(newest[:live], y[:live], out=s[:live])
+        np.divide(1.0, s[:live], out=y[:live])
+        rows.insert(0, rows.pop())
+        np.minimum(newest[:live], beyond, out=rows[0][:live], casting="unsafe")
+        _draw_digits(rng, y[:live], newest[:live], work[:live])
+    return w, a_ind, b_ind
+
+
+def _moments(
+    w: np.ndarray, a_ind: np.ndarray, b_ind: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments of z = (w, w*ab, w*a, w*b), summed over lanes."""
+    z = np.empty((w.size, 4))
     z[:, 0] = w
     z[:, 1] = w * (a_ind & b_ind)
     z[:, 2] = w * a_ind
@@ -268,18 +329,34 @@ def correlation_estimate(
     value as importance weight and heights uniform below the roof, which
     together sample the flow-invariant measure.  The standard error
     comes from the delta method applied to the four weighted moments of
-    the self-normalized estimator.  Deterministic in (seed, M).
+    the self-normalized estimator.
+
+    The chunks run in waves of one chunk per CPU the process may use,
+    on separate Philox substreams of ``seed``; after each wave the
+    calling thread folds the chunks' moments in chunk order, so the
+    result is bit-identical for a given (seed, M) whatever the CPU
+    count, and memory does not grow with M.
     """
-    if M < 1:
-        raise InvalidSampleCount("M must be positive")
+    M = sample_count(M)
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
+    sizes = chunk_sizes(M, 4 * CHUNK)
+    width = allowed_cpus()
     m1 = np.zeros(4)
     m2 = np.zeros((4, 4))
-    for idx, m in enumerate(chunk_sizes(M, 4 * CHUNK)):
-        s1, s2 = _correlation_chunk(substream(seed, idx), m, A, B, t)
-        m1 += s1
-        m2 += s2
+    for first in range(0, len(sizes), width):
+        wave = [None] * min(width, len(sizes) - first)
+
+        def drain(take):
+            for i in iter(take, None):
+                idx = first + i
+                wave[i] = _correlation_chunk(substream(seed, idx), sizes[idx], A, B, t)
+
+        run_chunks(len(wave), drain)
+        while wave:  # in chunk order, each chunk freed once folded
+            s1, s2 = _moments(*wave.pop(0))
+            m1 += s1
+            m2 += s2
     mean = m1 / M
     cov = m2 / M - np.outer(mean, mean)
     mw, mab, ma, mb = mean

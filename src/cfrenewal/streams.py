@@ -29,6 +29,17 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
+def allowed_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    # a local import leaves the cost of importing the package unchanged
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_chunks(count: int, drain) -> list:
     """Run ``drain(take)`` on the calling thread and on one worker thread
     per further CPU this process may use, with no more threads than chunks.
@@ -39,15 +50,10 @@ def run_chunks(count: int, drain) -> list:
     If a drain raises, no further index is handed out, every thread is
     joined, and the first exception is raised to the caller.
     """
-    # local imports leave the cost of importing the package unchanged
-    import os
+    # a local import leaves the cost of importing the package unchanged
     import threading
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    width = min(cpus, count)
+    width = min(allowed_cpus(), count)
     indices = iter(range(count))
     lock = threading.Lock()
     stop = threading.Event()

@@ -277,6 +277,18 @@ def test_sampler_input_validation():
         empirical_pn(R=5.0, M=100)
 
 
+@pytest.mark.parametrize("M", [1e4, 100.0, 2.5, True, "100"])
+def test_sample_count_must_be_an_integer(M):
+    with pytest.raises(InvalidSampleCount, match="M must be an integer"):
+        empirical_pn(R=1e3, M=M)
+
+
+def test_numpy_integer_sample_counts_are_accepted():
+    t = empirical_pn(R=1e3, M=np.int64(2000), seed=3)
+    assert type(t.sample_count) is int
+    assert t.mass.tobytes() == empirical_pn(R=1e3, M=2000, seed=3).mass.tobytes()
+
+
 @pytest.mark.parametrize("R", [math.inf, math.nan, 2.0**53])
 def test_sampler_rejects_thresholds_beyond_exact_doubles(R):
     # the chain's float denominators decide the crossing exactly only below 2**53

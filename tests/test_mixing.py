@@ -1,9 +1,15 @@
 """Leaf geometry, holonomy, chain connections, correlation decay."""
 
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from cfrenewal import mixing
 from cfrenewal.errors import InvalidSampleCount, OutOfChart, Unreachable
 from cfrenewal.flow import FlowPoint, roof_phi
 from cfrenewal.gauss import NaturalExtPoint
@@ -183,12 +189,41 @@ def test_box_validation():
     assert box.plus_digits == (1,)
 
 
+@pytest.mark.parametrize("digits", [(1.5,), (2.0,), (True,), ("1",)])
+def test_box_digits_must_be_integers(digits):
+    # a fractional digit matched no lane, so the box silently had mass 0
+    with pytest.raises(ValueError, match="must be integers"):
+        BoxSpec(plus_digits=digits)
+    with pytest.raises(ValueError, match="must be integers"):
+        BoxSpec(minus_digits=(1,) + digits)
+
+
+def test_box_digits_accept_numpy_integers():
+    box = BoxSpec(plus_digits=(np.int64(2),), minus_digits=(np.uint8(3),))
+    assert box.plus_digits == (2,) and box.minus_digits == (3,)
+    assert all(type(d) is int for d in box.plus_digits + box.minus_digits)
+
+
 def test_correlation_input_validation():
     A = BoxSpec(plus_digits=(1,))
     with pytest.raises(InvalidSampleCount):
         correlation_estimate(A, A, t=1.0, M=0)
     with pytest.raises(ValueError):
         correlation_estimate(A, A, t=-1.0, M=100)
+
+
+@pytest.mark.parametrize("M", [1e4, 100.0, 2.5, True, "100"])
+def test_correlation_sample_count_must_be_an_integer(M):
+    A = BoxSpec(plus_digits=(1,))
+    with pytest.raises(InvalidSampleCount, match="M must be an integer"):
+        correlation_estimate(A, A, t=1.0, M=M)
+
+
+def test_correlation_accepts_numpy_integer_counts():
+    A = BoxSpec(plus_digits=(1,))
+    c = correlation_estimate(A, A, t=1.0, M=np.int32(1000), seed=3)
+    assert type(c.samples) is int and c.samples == 1000
+    assert c == correlation_estimate(A, A, t=1.0, M=1000, seed=3)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -256,3 +291,96 @@ def test_correlation_kernel_is_pinned_bit_for_bit():
     c = correlation_estimate(A, B, t=5.0, M=50_000, seed=5)
     assert c.value == -7.343489320764535e-06
     assert c.stderr == 1.8503760517415823e-05
+
+
+# Several chunks, each on its own substream, folded in chunk order.  The
+# values were computed by the serial kernel that preceded the in-place one.
+MULTI_CHUNK_PINS = [
+    (
+        dict(A=BoxSpec((1, 3), (2, 1), 0.1, 0.9), B=BoxSpec((2,), y_hi=0.45), t=5.0),
+        dict(M=600_000, seed=5),
+        (1.059450172481782e-05, 7.661357020166113e-06, 0.06473872386095686),
+    ),
+    (
+        dict(A=BoxSpec((1,), y_hi=0.45), B=BoxSpec((2,), y_hi=0.45), t=20.0),
+        dict(M=300_000, seed=3),
+        (0.00024881823669266855, 0.0001243174111154029, 0.06487892061386549),
+    ),
+    # digits up to 301 are kept in uint16 rows
+    (
+        dict(A=BoxSpec((300,)), B=BoxSpec((1,), (300,)), t=1.0),
+        dict(M=300_000, seed=7),
+        (-9.943091725165865e-13, 6.360653243663433e-13, 5.604662227255142e-08),
+    ),
+]
+
+
+def _force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("boxes, counts, pinned", MULTI_CHUNK_PINS)
+def test_multi_chunk_correlations_are_pinned_whatever_the_cpu_count(
+    boxes, counts, pinned, cpus, monkeypatch
+):
+    _force_cpus(monkeypatch, cpus)
+    c = correlation_estimate(**boxes, **counts)
+    assert (c.value, c.stderr, c.mass_B) == pinned
+
+
+def test_a_failing_correlation_chunk_is_raised_and_its_threads_are_joined(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    real_chunk = mixing._correlation_chunk
+
+    def fail_on_chunk_one(rng, m, *args):
+        # with M = 4 * CHUNK + 100, only chunk 1 has 100 lanes
+        if m == 100:
+            raise RuntimeError("chunk 1 failed")
+        return real_chunk(rng, m, *args)
+
+    monkeypatch.setattr(mixing, "_correlation_chunk", fail_on_chunk_one)
+    A = BoxSpec(plus_digits=(1,))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        correlation_estimate(A, A, t=1.0, M=4 * mixing.CHUNK + 100)
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=5.0)
+    assert threading.active_count() == before
+
+
+def test_more_threads_than_cores_lose_no_chunk(monkeypatch):
+    # each chunk's result lands in its own slot of a wave; a lost or
+    # misplaced one would change the bits
+    monkeypatch.setattr(mixing, "CHUNK", 1 << 10)
+    A = BoxSpec((1,), (2,), y_hi=0.6)
+    B = BoxSpec((2,), y_hi=0.45)
+    kwargs = dict(A=A, B=B, t=3.0, M=10 * 4 * mixing.CHUNK + 7, seed=4)
+    _force_cpus(monkeypatch, 1)
+    serial = correlation_estimate(**kwargs)
+    _force_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = correlation_estimate(**kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_correlation_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    # chunks run in waves of one per CPU and are folded after each wave
+    _force_cpus(monkeypatch, 2)
+    A = BoxSpec(plus_digits=(1,), y_hi=0.45)
+    B = BoxSpec(plus_digits=(2,), y_hi=0.45)
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            correlation_estimate(A, B, t=1.0, M=chunks * 4 * mixing.CHUNK, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.15 * peak(2)
