@@ -41,6 +41,7 @@ from .flow import FlowPoint, flow_evolve
 from .gauss import sample_mu2
 from .limitlaw import (
     DistributionTable,
+    _check_threshold,
     default_ratio_edges,
     empirical_pn,
     ks_distance,
@@ -148,6 +149,8 @@ def cmd_renewal(args) -> int:
 
 def cmd_simulate(args) -> int:
     r_list = tuple(float(r) for r in args.R.split(","))
+    for r in r_list:  # every threshold, before any table is sampled or written
+        _check_threshold(r)
     cfg = RunConfig(
         command="simulate",
         seed=args.seed,

@@ -25,11 +25,13 @@ chain with transition kernel
     P(a = k | y) = (1+y) / ((k+y)(k+y+1)),    y' = 1/(k+y),
 
 which this module samples vectorized over lanes
-(``sample_digit_given_state``; ``mixing``'s lane kernel runs its
-inverse CDF on buffers it owns) and, for one point, in a scalar loop
+(``sample_digit_given_state``) and, for one point, in a scalar loop
 (``sample_mu2_window``).  Every Monte Carlo run in the package draws
 its digits from this one chain, because it produces exact-law digit
-strings of unlimited depth in plain doubles.
+strings of unlimited depth in plain doubles.  Both lane kernels, the
+renewal kernel of ``limitlaw`` and the correlation kernel of
+``mixing``, own their lane buffers: they draw digits into them with
+``_draw_digits`` and drop finished lanes in place with ``_compact``.
 """
 
 from __future__ import annotations
@@ -289,6 +291,25 @@ def _draw_digits(
     np.ceil(out, out=out)
     np.maximum(out, 1.0, out=out)
     return out
+
+
+_BLOCK = 1 << 15  # lanes per step of the in-place compaction
+
+
+def _compact(keep: np.ndarray, buffers) -> int:
+    """Move the lanes where ``keep`` holds to the front of every buffer, in order.
+
+    Returns their count.  Block by block, so the index arrays and copies
+    stay small next to the lane buffers; the lane kernels of ``limitlaw``
+    and ``mixing`` drop their finished lanes with it.
+    """
+    kept = 0
+    for start in range(0, keep.size, _BLOCK):
+        block = np.flatnonzero(keep[start : start + _BLOCK]) + start
+        for lanes in buffers:
+            lanes[kept : kept + block.size] = lanes[block]
+        kept += block.size
+    return kept
 
 
 def sample_mu2_window(rng: np.random.Generator, depth: int, size=None):

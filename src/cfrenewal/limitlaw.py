@@ -42,7 +42,10 @@ from .errors import (
     InvalidDigits,
     sample_count,
 )
-from .gauss import LN2, interval_for_digits, sample_digit_given_state, sample_mu1
+from .gauss import LN2, _compact, _draw_digits, interval_for_digits, sample_mu1
+# bench/tracing.py wraps limitlaw.sample_digit_given_state by name; nothing
+# here calls it, since the renewal kernel draws with _draw_digits
+from .gauss import sample_digit_given_state  # noqa: F401
 # bench/tracing.py wraps limitlaw.mapped_nodes by name; nothing here calls it
 from .quadrature import mapped_nodes  # noqa: F401
 from .streams import CHUNK, chunk_sizes, run_chunks, substream
@@ -175,7 +178,9 @@ def default_ratio_edges(delta: float = 0.05, count: int = 120) -> tuple[float, .
 
 def _check_edges(edges: Sequence[float]) -> tuple[float, ...]:
     edges = tuple(float(e) for e in edges)
-    if len(edges) < 2 or edges[0] != 1.0:
+    if len(edges) < 2:
+        raise InvalidBins(f"ratio bins need at least 2 edges, got {len(edges)}")
+    if edges[0] != 1.0:
         raise InvalidBins("ratio bin edges must start at 1")
     if any(e1 <= e0 for e0, e1 in zip(edges, edges[1:])):
         raise InvalidBins("ratio bin edges must be strictly increasing")
@@ -328,21 +333,23 @@ class DistributionTable:
             buf.write(f"# {key}={getattr(self, key)!r}\n")
         buf.write(f"# edges={','.join(repr(e) for e in self.ratio_bin_edges)}\n")
         buf.write(f"# has_error={self.error is not None}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for i, t in enumerate(self.digit_tuples):
+        buf.write(",".join(_CSV_HEADER) + "\n")
+        # no field holds a comma, a quote or a newline, so csv.writer would
+        # quote nothing; joined strings give its exact bytes
+        edges = self.ratio_bin_edges
+        spans = [f"{lo!r},{hi!r}" for lo, hi in zip(edges, edges[1:] + (math.inf,))]
+        masses = self.mass.tolist()
+        errors = [[""] * len(edges)] * len(masses)
+        if self.error is not None:
+            errors = [[repr(e) for e in row] for row in self.error.tolist()]
+        for t, mass_row, err_row in zip(self.digit_tuples, masses, errors):
             label = "other" if t is None else "-".join(map(str, t)) or "()"
-            for j in range(self.n_ratio_bins):
-                lo = self.ratio_bin_edges[j]
-                hi = (
-                    self.ratio_bin_edges[j + 1]
-                    if j + 1 < len(self.ratio_bin_edges)
-                    else math.inf
+            buf.write(
+                "".join(
+                    f"{label},{span},{mass!r},{err}\n"
+                    for span, mass, err in zip(spans, mass_row, err_row)
                 )
-                err = "" if self.error is None else repr(float(self.error[i, j]))
-                writer.writerow(
-                    [label, repr(lo), repr(hi), repr(float(self.mass[i, j])), err]
-                )
+            )
         return buf.getvalue()
 
     @classmethod
@@ -350,14 +357,16 @@ class DistributionTable:
         """Inverse of to_csv, in one pass; InvalidBins names a malformed part."""
         meta = {}
         rows = []
-        for line in text.splitlines():
+        numbers = []
+        for number, line in enumerate(text.splitlines(), 1):
             if line.startswith("# "):
                 key, _, val = line[2:].partition("=")
                 meta[key] = val
             elif line:
                 rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader, None)
+                numbers.append(number)
+        reader = zip(numbers, csv.reader(rows))
+        header = next(reader, (None, None))[1]
         if header != _CSV_HEADER:
             raise InvalidBins(
                 f"CSV header must be {','.join(_CSV_HEADER)}, got {header}"
@@ -369,10 +378,21 @@ class DistributionTable:
         edges = tuple(float(e) for e in meta["edges"].split(","))
         # label -> (masses, errors), in order of first appearance
         cells: dict[str, tuple[list, list]] = {}
-        for label, _lo, _hi, mass, err in reader:
+        for number, fields in reader:
+            if len(fields) != len(_CSV_HEADER):
+                raise InvalidBins(
+                    f"CSV line {number} has {len(fields)} fields, "
+                    f"expected {len(_CSV_HEADER)}"
+                )
+            label, _lo, _hi, mass, err = fields
             masses, errs = cells.setdefault(label, ([], []))
-            masses.append(float(mass))
-            errs.append(float(err) if err else 0.0)
+            try:
+                masses.append(float(mass))
+                errs.append(float(err) if err else 0.0)
+            except ValueError:
+                raise InvalidBins(
+                    f"CSV line {number}: mass {mass!r} or error {err!r} is not a number"
+                ) from None
         for label, (masses, _) in cells.items():
             if len(masses) != len(edges):
                 raise InvalidBins(
@@ -437,39 +457,43 @@ def _renewal_chunk(
     in binary64 and larger ones round to at least 2**53, so for R below
     2**53 (which empirical_pn enforces) the crossing step is exact.
     A lane is binned at the step it crosses R and then dropped; a lane
-    that crosses before N digits exist is rejected.  Each live lane
-    keeps its newest N digits in ``window``, newest first, clipped to
+    that crosses before N digits exist is rejected.  The lanes live in
+    buffers allocated once per chunk: the chain state y, the two newest
+    denominators, the newest digit as a float, one scratch buffer, the
+    crossing mask and N digit rows, newest first, clipped to
     digit_range + 1, which stands for every digit beyond the range.
+    Digits are drawn into them with ``gauss._draw_digits``, the rows
+    rotate at every step, and crossed lanes are dropped in place with
+    ``gauss._compact``.
     """
-    # lane buffers, allocated once per chunk and compacted in place: fresh
-    # lane arrays at every step fragment each thread's heap and raise the
-    # peak RSS; the two newest denominators swap buffers at every step
-    y_lanes = sample_mu1(rng, m)
-    q_prev_lanes = np.zeros(m)
-    q_cur_lanes = np.ones(m)
-    product = np.empty(m)
+    # fresh lane arrays at every step fragment each thread's heap and raise
+    # the peak RSS; the two newest denominators swap buffers at every step
+    y = sample_mu1(rng, m)
+    q_prev = np.zeros(m)
+    q_cur = np.ones(m)
+    newest = np.empty(m)
+    work = np.empty(m)
+    mask = np.empty(m, dtype=bool)
     beyond = digit_range + 1
-    digit_dtype = np.min_scalar_type(beyond)
+    rows = [np.empty(m, dtype=np.min_scalar_type(beyond)) for _ in range(N)]
     overflow_row = digit_range**N
     last_col = len(edges) - 1
     rejected = 0
     steps = 0
-    window = []
     live = m
     while live:
-        y = y_lanes[:live]
-        a = sample_digit_given_state(rng, y)
+        a = _draw_digits(rng, y[:live], newest[:live], work[:live])
         steps += 1
-        q_new = q_prev_lanes[:live]
-        np.multiply(a, q_cur_lanes[:live], out=product[:live])
-        q_new += product[:live]
-        q_prev_lanes, q_cur_lanes = q_cur_lanes, q_prev_lanes
-        y += a
-        np.reciprocal(y, out=y)
+        np.multiply(a, q_cur[:live], out=work[:live])
+        q_new = q_prev[:live]
+        q_new += work[:live]
+        q_prev, q_cur = q_cur, q_prev
+        y[:live] += a
+        np.reciprocal(y[:live], out=y[:live])
         if N:
-            np.minimum(a, beyond, out=a)
-            window = [a.astype(digit_dtype)] + window[: N - 1]
-        done = q_new > R
+            rows.insert(0, rows.pop())
+            np.minimum(a, beyond, out=rows[0][:live], casting="unsafe")
+        done = np.greater(q_new, R, out=mask[:live])
         crossed = int(np.count_nonzero(done))
         if not crossed:
             continue
@@ -481,19 +505,22 @@ def _renewal_chunk(
             np.minimum(col, last_col, out=col)
             row = np.zeros(crossed, dtype=np.int64)
             outside = np.zeros(crossed, dtype=bool)
-            for digits in window:
-                d = digits[done]
+            for digits in rows:
+                d = digits[:live][done]
                 row = row * digit_range + (d - 1)
                 outside |= d == beyond
             row[outside] = overflow_row
             np.add.at(counts, (row, col), 1)
-        keep = ~done
-        kept = live - crossed
-        for lanes in (y_lanes, q_prev_lanes, q_cur_lanes):
-            lanes[:kept] = lanes[:live][keep]
-        window = [digits[keep] for digits in window]
-        live = kept
+        keep = np.logical_not(done, out=done)
+        # rows older than the steps taken hold no digit yet
+        live = _compact(keep, (y, q_prev, q_cur, *rows[:steps]))
     return rejected
+
+
+def _check_threshold(R: float) -> None:
+    """ValueError unless R lies in [10, 2**53), where the chain's crossing is exact."""
+    if not 10 <= R < 2**53:
+        raise ValueError(f"R must lie in [10, 2**53), got {R}")
 
 
 def empirical_pn(
@@ -520,8 +547,7 @@ def empirical_pn(
     [10, 2**53), where float denominators decide the crossing exactly.
     """
     M = sample_count(M)
-    if not 10 <= R < 2**53:
-        raise ValueError(f"R must lie in [10, 2**53), got {R}")
+    _check_threshold(R)
     if N < 0:
         raise ValueError("N must be non-negative")
     edges, tuples = _table_layout(N, bins, digit_range)

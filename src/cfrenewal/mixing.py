@@ -38,14 +38,13 @@ from .errors import OutOfChart, Unreachable, sample_count
 from .flow import FlowPoint, flow_evolve, roof_phi
 from .gauss import (
     NaturalExtPoint,
+    _compact,
     _draw_digits,
     float_window,
     sample_mu1,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
 )
 from .streams import CHUNK, allowed_cpus, chunk_sizes, run_chunks, substream
-
-_BLOCK = 1 << 15  # lanes per step of the in-place compaction
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
@@ -223,21 +222,6 @@ def _box_membership(
     ]:
         ind &= row[at] == digit
     return ind
-
-
-def _compact(keep: np.ndarray, buffers) -> int:
-    """Move the lanes where ``keep`` holds to the front of every buffer, in order.
-
-    Returns their count.  Block by block, so the index arrays and copies
-    stay small next to the lane buffers.
-    """
-    kept = 0
-    for start in range(0, keep.size, _BLOCK):
-        block = np.flatnonzero(keep[start : start + _BLOCK]) + start
-        for lanes in buffers:
-            lanes[kept : kept + block.size] = lanes[block]
-        kept += block.size
-    return kept
 
 
 def _correlation_chunk(

@@ -177,6 +177,20 @@ def test_simulate_rejects_an_infinite_threshold(tmp_path, capsys):
     assert "error: R must lie in [10, 2**53), got inf" in capsys.readouterr().err
 
 
+def test_simulate_checks_every_threshold_before_writing_any_table(tmp_path, capsys):
+    argv = ["simulate", "--R", "1e4,5", "--M", "200", "--bin-count", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "error: R must lie in [10, 2**53), got 5.0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_names_a_bin_count_of_zero(tmp_path, capsys):
+    argv = ["simulate", "--R", "1e4", "--M", "200", "--bin-count", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "error: ratio bins need at least 2 edges, got 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rejects_a_digit_range_below_one(tmp_path, capsys):
     argv = ["simulate", "--N", "1", "--digit-range", "0", "--M", "100"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1

@@ -10,7 +10,9 @@ samples, seed 2026; the quoted sigma is the binomial standard error of
 that run.
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -187,6 +189,21 @@ MULTI_CHUNK_PINS = [
         dict(R=1e9, M=40_000, N=0, seed=9, chunk=1 << 12),
         "bf1b979c8833bf69ed4b07495d167a38f6743d6a6fbfbb5429d530ee222f0782",
         0,
+    ),
+    # taken from the kernel that rebuilt its digit window at every step:
+    # a threshold at the top of the exact range, and two rotating uint16 rows
+    (
+        dict(R=2**52, M=100_000, N=2, seed=17),
+        "4f37b4846cd4255dfc2c3ee32c1c56fab76cd0c3b4891e326efd52be35a77333",
+        0,
+    ),
+    (
+        dict(
+            R=1e4, M=40_000, N=2, digit_range=300, bins=(1.0, 1.5, 2.0),
+            seed=8, chunk=1 << 13,
+        ),
+        "e5d93a837e506ab06b5087e3d1f30ce27196fa75f5674528488e4650cc66b064",
+        6,
     ),
 ]
 
@@ -410,6 +427,70 @@ def test_csv_round_trip_is_lossless():
         assert np.array_equal(back.error, t.error)
         assert back.digit_tuples == t.digit_tuples
         assert back.to_csv() == text
+
+
+def _csv_writer_reference(t):
+    """to_csv as one csv.writer row per cell, the layout the file format fixes."""
+    buf = io.StringIO()
+    for key in ("sample_count", "R_used", "rejected", "seed"):
+        buf.write(f"# {key}={getattr(t, key)!r}\n")
+    buf.write(f"# edges={','.join(repr(e) for e in t.ratio_bin_edges)}\n")
+    buf.write(f"# has_error={t.error is not None}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["digits", "ratio_lo", "ratio_hi", "mass", "error"])
+    edges = t.ratio_bin_edges
+    for i, tup in enumerate(t.digit_tuples):
+        label = "other" if tup is None else "-".join(map(str, tup)) or "()"
+        for j in range(t.n_ratio_bins):
+            hi = edges[j + 1] if j + 1 < len(edges) else math.inf
+            err = "" if t.error is None else repr(float(t.error[i, j]))
+            writer.writerow(
+                [label, repr(edges[j]), repr(hi), repr(float(t.mass[i, j])), err]
+            )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: empirical_pn(R=1e6, M=20_000, N=2, seed=5),
+        lambda: empirical_pn(R=1e3, M=5000, seed=2, bins=(1.0, 1.25, 3.0)),
+        lambda: theoretical_table(N=2),
+        lambda: theoretical_table(N=1, bins=(1.0, 1.5, 2.0), digit_range=3),
+    ],
+)
+def test_csv_bytes_match_the_csv_writer_reference(make):
+    t = make()
+    assert t.to_csv() == _csv_writer_reference(t)
+
+
+def _small_csv():
+    return theoretical_table(N=1, bins=(1.0, 1.5), digit_range=2).to_csv()
+
+
+def test_csv_row_with_missing_fields_names_its_line():
+    lines = _small_csv().splitlines()
+    # 6 metadata lines and the header come first; line 9 is the second row
+    assert lines[8].startswith("1,1.5,inf,")
+    lines[8] = lines[8].rsplit(",", 1)[0]
+    with pytest.raises(InvalidBins, match="CSV line 9 has 4 fields, expected 5"):
+        DistributionTable.from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, bad", [(3, "heavy"), (4, "1e-14x")])
+def test_csv_cell_that_is_not_a_number_names_its_line(column, bad):
+    lines = _small_csv().splitlines()
+    fields = lines[9].split(",")
+    fields[column] = bad
+    lines[9] = ",".join(fields)
+    with pytest.raises(InvalidBins, match="CSV line 10: mass .* is not a number"):
+        DistributionTable.from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edges", [(), (1.0,)])
+def test_fewer_than_two_edges_are_named_as_such(edges):
+    with pytest.raises(InvalidBins, match=f"at least 2 edges, got {len(edges)}"):
+        theoretical_table(bins=edges)
 
 
 def test_overflow_bin_collects_the_tail():
