@@ -12,16 +12,16 @@ x = 0.14159265358979
 
 print("expanding x =", x)
 digits = expand_digits(x, 12)
-print("digits:", " ".join(str(a) for a in digits.digits))
+print("digits:", " ".join(str(a) for a in digits))
 
 print("\nconvergents p_n/q_n and the error x - p_n/q_n:")
-for c in convergents(digits.digits[:8]):
+for c in convergents(digits[:8]):
     err = x - c.p / c.q
     print(f"  n={c.n:2d}  {c.p:10d}/{c.q:<10d}  err={err:+.3e}  "
           f"1/q^2={1.0 / c.q**2:.3e}")
 
 # the convergent value can be recovered exactly
-val = evaluate_cf(digits.digits[1:6], head=digits.at(1), exact=True)
+val = evaluate_cf(digits[1:6], head=digits[0], exact=True)
 print("\nexact six-digit convergent of 1/x:", val, "=", float(val))
 
 # golden-ratio digits make the slowest-growing denominators
@@ -49,5 +49,5 @@ print("its crossing of R = 5 still exists:",
 # exact Fraction inputs are expanded exactly; 16/113 = [7, 16]
 frac = Fraction(355, 113) - 3
 digits = expand_digits(frac, 2)
-print("\nfractional part of 355/113 expands as:", digits.digits)
+print("\nfractional part of 355/113 expands as:", digits)
 print("and evaluates back to:", evaluate_cf(digits, exact=True))

@@ -52,7 +52,7 @@ joint = float(((np.floor(1.0 / ap) == 1) & (np.floor(1.0 / am) == 1)).mean())
 print(f"\ntwo-sided: P(a1=1) = {pa:.4f}, P(a0=1) = {pb:.4f}, "
       f"joint = {joint:.4f}, product = {pa * pb:.4f}")
 
-both_one = Cylinder.two_sided((1, 1), index_origin=0)
+both_one = Cylinder(plus_digits=(1,), minus_digits=(1,))
 print("exact joint mass of the (1, 1) window:",
       f"{cylinder_measure(both_one, which='mu2'):.4f}")
 

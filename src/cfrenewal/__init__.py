@@ -1,14 +1,16 @@
 """Exact continued-fraction arithmetic, the Gauss system, and its renewal law.
 
 The package is organised around one pipeline: expand reals into digit
-sequences with certified error control, drive the two-sided shift and
+windows with certified error control, drive the two-sided shift and
 its suspension flow, and confront sampled renewal overshoots with the
-closed form of their limiting distribution.
+closed form of their limiting distribution.  A digit window is a plain
+tuple of positive ints, checked by ``cf.digit_window``; a point of the
+extension, a cylinder and a box each hold one window per side, the
+future digits (a_1, a_2, ...) and the past digits (a_0, a_-1, ...).
 """
 
 from .cf import (
     Convergent,
-    DigitSequence,
     RenewalResult,
     convergents,
     evaluate_cf,
@@ -44,9 +46,7 @@ from .flow import (
 from .gauss import (
     Cylinder,
     NaturalExtPoint,
-    cylinder_interval,
     cylinder_measure,
-    cylinder_rectangle,
     digit_frequency,
     gauss_map,
     mu1_cdf,
@@ -88,7 +88,6 @@ __all__ = [
     "CorrectionSeries",
     "CorrelationEstimate",
     "Cylinder",
-    "DigitSequence",
     "DistributionTable",
     "FixedReal",
     "FlowPoint",
@@ -111,9 +110,7 @@ __all__ = [
     "convergents",
     "correction_f",
     "correlation_estimate",
-    "cylinder_interval",
     "cylinder_measure",
-    "cylinder_rectangle",
     "default_ratio_edges",
     "digit_frequency",
     "empirical_pn",

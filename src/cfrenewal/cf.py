@@ -6,6 +6,8 @@ Digits are the positive integers a_1, a_2, ... in
 
 and the convergents p_n / q_n are the truncations in lowest terms,
 generated by the standard three-term recursion with exact integers.
+A finite run of digits, a digit window, is a plain tuple of ints, and
+every function that takes one checks it with ``digit_window``.
 The renewal index n_R is the first n whose denominator q_n exceeds a
 threshold R; the overshoot ratio q_{n_R} / R and the last few digits
 before the crossing are the quantities whose joint law the rest of the
@@ -14,75 +16,16 @@ package studies.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .errors import InsufficientDigits, RationalInput, TrailingUnderflow
+from .errors import InsufficientDigits, InvalidDigits, RationalInput, TrailingUnderflow
 from .fixedreal import FixedReal
 
 RealLike = Union[float, Fraction, FixedReal]
-
-
-@dataclass(frozen=True)
-class DigitSequence:
-    """A finite window of continued-fraction digits.
-
-    ``index_origin`` is the absolute index of the first stored digit.  A
-    one-sided sequence starts at index 1 and encodes the expansion of a
-    number in (0, 1); a two-sided window may start at a non-positive
-    index and is used for points of the invertible extension.
-    """
-
-    digits: tuple[int, ...]
-    index_origin: int = 1
-    sided: str = "one"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(int(a) for a in self.digits))
-        if any(a < 1 for a in self.digits):
-            raise ValueError("digits must be positive integers")
-        if self.sided not in ("one", "two"):
-            raise ValueError("sided must be 'one' or 'two'")
-        if self.sided == "one" and self.index_origin != 1:
-            raise ValueError("one-sided sequences start at index 1")
-
-    @classmethod
-    def one_sided(cls, digits: Sequence[int]) -> "DigitSequence":
-        return cls(tuple(digits), 1, "one")
-
-    @classmethod
-    def two_sided(cls, digits: Sequence[int], index_origin: int) -> "DigitSequence":
-        return cls(tuple(digits), index_origin, "two")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    @property
-    def indices(self) -> range:
-        return range(self.index_origin, self.index_origin + len(self.digits))
-
-    def at(self, k: int) -> int:
-        """Digit a_k by absolute index."""
-        if k not in self.indices:
-            raise IndexError(f"index {k} outside window {self.indices}")
-        return self.digits[k - self.index_origin]
-
-    @property
-    def plus_digits(self) -> tuple[int, ...]:
-        """Digits at indices >= 1, in increasing index order."""
-        return self.digits[max(0, 1 - self.index_origin):]
-
-    @property
-    def minus_digits(self) -> tuple[int, ...]:
-        """Digits at indices <= 0, ordered (a_0, a_-1, ...)."""
-        return tuple(reversed(self.digits[: max(0, 1 - self.index_origin)]))
 
 
 @dataclass(frozen=True)
@@ -117,29 +60,39 @@ class RenewalResult:
             raise ValueError("inconsistent renewal data")
         if self.ratio <= 1.0:
             raise ValueError("overshoot ratio must exceed 1")
-        if any(a < 1 for a in self.trailing_digits):
-            raise ValueError("trailing digits must be positive")
+        object.__setattr__(self, "trailing_digits", digit_window(self.trailing_digits))
 
 
-def _digit_tuple(digits: Union[DigitSequence, Sequence[int]]) -> tuple[int, ...]:
-    if isinstance(digits, DigitSequence):
-        if digits.sided != "one":
-            raise ValueError("a one-sided digit sequence is required")
-        return digits.digits
-    out = tuple(int(a) for a in digits)
-    if any(a < 1 for a in out):
-        raise ValueError("digits must be positive integers")
-    return out
+def digit_window(digits: Sequence[int]) -> tuple[int, ...]:
+    """The digits as a tuple of positive ints; InvalidDigits otherwise.
+
+    This is the one check of every digit window in the package.  Python
+    and numpy integers pass, through ``operator.index``; a bool, a float
+    (even 2.0), a string or a value below 1 does not.  A tuple of plain
+    ints comes back as it is.
+    """
+    try:
+        window = tuple(digits)
+        kinds = set(map(type, window))
+        if kinds - {int}:
+            if bool in kinds:
+                raise TypeError
+            window = tuple(map(operator.index, window))
+    except TypeError:
+        raise InvalidDigits(f"digits must be integers, got {digits!r}") from None
+    if window and min(window) < 1:
+        raise InvalidDigits(f"digits must be positive, got {window!r}")
+    return window
 
 
-def convergents(digits: Union[DigitSequence, Sequence[int]]) -> list[Convergent]:
-    """Exact convergents of a one-sided digit sequence.
+def convergents(digits: Sequence[int]) -> list[Convergent]:
+    """Exact convergents of a digit window (a_1, ..., a_n).
 
     Uses the recursion p_k = a_k p_{k-1} + p_{k-2} (and likewise for q)
     with seeds p_0 = 0, q_0 = 1 and p_{-1} = 1, q_{-1} = 0, so that
     p_1 = 1 and q_1 = a_1.
     """
-    ds = _digit_tuple(digits)
+    ds = digit_window(digits)
     if not ds:
         raise ValueError("digit sequence must be non-empty")
     p_prev, q_prev = 1, 0
@@ -153,12 +106,12 @@ def convergents(digits: Union[DigitSequence, Sequence[int]]) -> list[Convergent]
 
 
 def evaluate_cf(
-    digits: Union[DigitSequence, Sequence[int]],
+    digits: Sequence[int],
     head: int = 0,
     exact: bool = False,
 ):
     """Value of head + [a_1, a_2, ..., a_n] as a float or exact Fraction."""
-    ds = _digit_tuple(digits)
+    ds = digit_window(digits)
     if not ds:
         value = Fraction(head)
     else:
@@ -191,29 +144,31 @@ def _expand_fixed(x: FixedReal, n_max: int) -> list[int]:
     return out
 
 
-def expand_digits(x: RealLike, n_max: int) -> DigitSequence:
-    """First n_max continued-fraction digits of x in (0, 1).
+def expand_digits(x: RealLike, n_max: int) -> tuple[int, ...]:
+    """First n_max continued-fraction digits (a_1, ..., a_n_max) of x in (0, 1).
 
-    Floats are treated as the exact dyadic rationals they are; use a
-    FixedReal input for certified deep expansions of irrational values.
-    Raises RationalInput when the expansion terminates before n_max
-    digits, and PrecisionExhausted when a FixedReal enclosure can no
-    longer certify the next digit.
+    The digits come back as a plain tuple of ints, the digit window that
+    ``convergents``, ``evaluate_cf`` and ``renewal_index`` read.  Floats
+    are treated as the exact dyadic rationals they are; use a FixedReal
+    input for certified deep expansions of irrational values.  Raises
+    RationalInput when the expansion terminates before n_max digits, and
+    PrecisionExhausted when a FixedReal enclosure can no longer certify
+    the next digit.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if isinstance(x, FixedReal):
         if not (0 < x.value < 1):
             raise ValueError("x must lie in (0, 1)")
-        return DigitSequence.one_sided(_expand_fixed(x, n_max))
+        return tuple(_expand_fixed(x, n_max))
     x_frac = Fraction(x)
     if not (0 < x_frac < 1):
         raise ValueError("x must lie in (0, 1)")
-    return DigitSequence.one_sided(_expand_fraction(x_frac, n_max))
+    return tuple(_expand_fraction(x_frac, n_max))
 
 
 def renewal_index(
-    digits: Union[DigitSequence, Sequence[int]],
+    digits: Sequence[int],
     R: float,
     n_trailing: int = 0,
 ) -> RenewalResult:
@@ -225,11 +180,11 @@ def renewal_index(
     ... a_{n_R - n_trailing + 1}; TrailingUnderflow is raised when the
     crossing happens too early for that window to exist.
     """
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and at least 1, got {R!r}")
     if n_trailing < 0:
         raise ValueError("n_trailing must be non-negative")
-    ds = _digit_tuple(digits)
+    ds = digit_window(digits)
     q_prev, q_cur = 0, 1
     for n, a in enumerate(ds, start=1):
         q_prev, q_cur = q_cur, a * q_cur + q_prev

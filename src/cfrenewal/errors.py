@@ -29,8 +29,8 @@ class TrailingUnderflow(CFRenewalError):
     """The renewal index is too small for the requested trailing window."""
 
 
-class InvalidDigits(CFRenewalError):
-    """A digit constraint is malformed (non-positive or non-contiguous)."""
+class InvalidDigits(CFRenewalError, ValueError):
+    """A digit window holds something other than a positive integer."""
 
 
 class InvalidBins(CFRenewalError):

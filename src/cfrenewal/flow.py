@@ -75,9 +75,9 @@ class CorrectionSeries:
 
 def correction_f(p: NaturalExtPoint, tol: float = 1e-9) -> CorrectionSeries:
     """Correction f = lim (ln q_n - S_n), truncated once 2**(3-n) < tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n_stop = math.floor(3.0 - math.log2(tol)) + 1
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    n_stop = max(1, math.floor(3.0 - math.log2(tol)) + 1)
     digits = _forward_digits(p, n_stop)
     y = p.alpha_minus
     q_prev, q_cur = 0, 1

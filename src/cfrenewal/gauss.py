@@ -44,7 +44,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cf import DigitSequence, convergents
+from .cf import convergents, digit_window
 from .errors import InsufficientDigits, InvalidDigits, RationalInput
 from .fixedreal import FixedReal
 
@@ -105,10 +105,8 @@ class NaturalExtPoint:
     fwd: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bwd", tuple(int(a) for a in self.bwd))
-        object.__setattr__(self, "fwd", tuple(int(a) for a in self.fwd))
-        if any(a < 1 for a in self.bwd) or any(a < 1 for a in self.fwd):
-            raise InvalidDigits("digits must be positive integers")
+        object.__setattr__(self, "bwd", digit_window(self.bwd))
+        object.__setattr__(self, "fwd", digit_window(self.fwd))
 
     # -- construction --------------------------------------------------
 
@@ -366,20 +364,24 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
 # -- cylinders ---------------------------------------------------------
 
 
-class Cylinder(DigitSequence):
-    """The set of points whose digits match a prescribed, non-empty window.
+@dataclass(frozen=True)
+class Cylinder:
+    """The points whose digits match a prescribed window on each side.
 
-    One-sided cylinders (index_origin 1) constrain numbers in (0,1);
-    two-sided cylinders constrain points of the invertible extension
-    over a contiguous index range that may include non-positive indices.
+    ``plus_digits`` constrains the future digits (a_1, a_2, ...) and
+    ``minus_digits`` the past ones (a_0, a_-1, ...), the layout of a
+    NaturalExtPoint's ``fwd`` and ``bwd``.  With no past constraint it
+    is also a cylinder of (0, 1).  At least one digit is required.
     """
 
+    plus_digits: tuple[int, ...]
+    minus_digits: tuple[int, ...] = ()
+
     def __post_init__(self) -> None:
-        if not self.digits:
+        object.__setattr__(self, "plus_digits", digit_window(self.plus_digits))
+        object.__setattr__(self, "minus_digits", digit_window(self.minus_digits))
+        if not (self.plus_digits or self.minus_digits):
             raise InvalidDigits("cylinder needs at least one digit constraint")
-        if any(int(a) < 1 for a in self.digits):
-            raise InvalidDigits("digit constraints must be positive")
-        super().__post_init__()
 
 
 def interval_for_digits(digits: Sequence[int]) -> tuple[Fraction, Fraction]:
@@ -403,20 +405,6 @@ def interval_for_digits(digits: Sequence[int]) -> tuple[Fraction, Fraction]:
     return (a, b) if a < b else (b, a)
 
 
-def cylinder_interval(c: Cylinder) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of a one-sided cylinder."""
-    if c.sided != "one":
-        raise ValueError("cylinder_interval needs a one-sided cylinder")
-    return interval_for_digits(c.digits)
-
-
-def cylinder_rectangle(
-    c: Cylinder,
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """(alpha_minus interval, alpha_plus interval) cut out by a cylinder."""
-    return interval_for_digits(c.minus_digits), interval_for_digits(c.plus_digits)
-
-
 def _mu1_interval_mass(lo: Fraction, hi: Fraction) -> float:
     # ln((1+hi)/(1+lo)) without cancellation for very thin intervals
     return math.log1p(float((hi - lo) / (1 + lo))) / LN2
@@ -430,8 +418,10 @@ def mu2_density(am, ap):
 def cylinder_measure(c: Cylinder, which: str = "mu1") -> float:
     """Invariant mass of a cylinder, in closed form.
 
-    One-sided masses integrate the Gauss density over an interval.  The
-    mu2 mass of a two-sided rectangle [x0, x1] x [y0, y1] is
+    With no past constraint, the mass under either measure is the Gauss
+    mass of the future window's interval [y0, y1].  Otherwise the past
+    window's interval [x0, x1] joins it, and the mu2 mass of the
+    rectangle [x0, x1] x [y0, y1] is
     log2((1+x0*y0)(1+x1*y1) / ((1+x0*y1)(1+x1*y0))); the ratio minus 1,
     (x1-x0)(y1-y0) / ((1+x0*y1)(1+x1*y0)), is formed exactly in
     Fraction and passed to log1p, so thin cylinders keep their
@@ -439,11 +429,11 @@ def cylinder_measure(c: Cylinder, which: str = "mu1") -> float:
     """
     if which not in ("mu1", "mu2"):
         raise ValueError("which must be 'mu1' or 'mu2'")
-    if c.sided == "one" or not c.minus_digits:
-        lo, hi = interval_for_digits(c.plus_digits)
-        return _mu1_interval_mass(lo, hi)
+    y0, y1 = interval_for_digits(c.plus_digits)
+    if not c.minus_digits:
+        return _mu1_interval_mass(y0, y1)
     if which == "mu1":
-        raise ValueError("the Gauss measure applies to one-sided cylinders only")
-    (x0, x1), (y0, y1) = cylinder_rectangle(c)
+        raise ValueError("the Gauss measure takes no past digits")
+    x0, x1 = interval_for_digits(c.minus_digits)
     excess = (x1 - x0) * (y1 - y0) / ((1 + x0 * y1) * (1 + x1 * y0))
     return math.log1p(float(excess)) / LN2

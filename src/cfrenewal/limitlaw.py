@@ -35,13 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    IncompatibleTables,
-    InvalidBins,
-    InvalidDigits,
-    sample_count,
-)
+from .cf import digit_window
+from .errors import BudgetExceeded, IncompatibleTables, InvalidBins, sample_count
 from .gauss import LN2, _compact, _draw_digits, interval_for_digits, sample_mu1
 # bench/tracing.py wraps limitlaw.sample_digit_given_state by name; nothing
 # here calls it, since the renewal kernel draws with _draw_digits
@@ -159,10 +154,7 @@ def theoretical_pn(a: float, b: float, c: Sequence[int] = ()) -> float:
         raise ValueError("a must be >= 1")
     if not b > a:
         raise ValueError("b must exceed a")
-    for digit in c:
-        if int(digit) != digit or digit < 1:
-            raise InvalidDigits(f"bad trailing digit constraint {digit!r}")
-    c = tuple(int(d) for d in c)
+    c = digit_window(c)
     if not c:
         return float(_ratio_law(a, b))
     return float(_digit_cells(a, b, c[0], *_digit_interval(c)))

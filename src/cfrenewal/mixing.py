@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cf import digit_window
 from .errors import OutOfChart, Unreachable, sample_count
 from .flow import FlowPoint, flow_evolve, roof_phi
 from .gauss import (
@@ -171,8 +172,7 @@ def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
 class BoxSpec:
     """A cylinder set of depth at most two per side, crossed with a height window.
 
-    Digits are positive integers (Python or numpy, not bool) and are
-    stored as ints.
+    Each side is a digit window, checked by ``cf.digit_window``.
     """
 
     plus_digits: tuple[int, ...] = ()
@@ -181,15 +181,10 @@ class BoxSpec:
     y_hi: float = math.inf
 
     def __post_init__(self) -> None:
-        for name in ("plus_digits", "minus_digits"):
-            digits = tuple(getattr(self, name))
-            if any(isinstance(d, bool) or not hasattr(d, "__index__") for d in digits):
-                raise ValueError(f"{name} must be integers, got {digits!r}")
-            object.__setattr__(self, name, tuple(d.__index__() for d in digits))
+        object.__setattr__(self, "plus_digits", digit_window(self.plus_digits))
+        object.__setattr__(self, "minus_digits", digit_window(self.minus_digits))
         if len(self.plus_digits) > 2 or len(self.minus_digits) > 2:
             raise ValueError("box cylinders support depth <= 2 per side")
-        if any(d < 1 for d in self.plus_digits + self.minus_digits):
-            raise ValueError("digit constraints must be positive")
         if not 0 <= self.y_lo < self.y_hi:
             raise ValueError(
                 "height window must satisfy 0 <= y_lo < y_hi, "

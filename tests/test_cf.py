@@ -3,19 +3,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrenewal.cf import (
-    DigitSequence,
     convergents,
+    digit_window,
     evaluate_cf,
     expand_digits,
     renewal_index,
 )
 from cfrenewal.errors import (
     InsufficientDigits,
+    InvalidDigits,
     RationalInput,
     TrailingUnderflow,
 )
@@ -31,8 +33,7 @@ PI_FRAC = Fraction(math.pi) - 3
 
 
 def test_expansion_of_pi_fractional_part():
-    ds = expand_digits(PI_FRAC, 5)
-    assert ds.digits == (7, 15, 1, 292, 1)
+    assert expand_digits(PI_FRAC, 5) == (7, 15, 1, 292, 1)
 
 
 def test_convergents_of_pi_fractional_part():
@@ -54,25 +55,24 @@ def test_evaluate_with_integer_head():
     assert abs(float(v) - 7.062513334755708) < 1e-12
 
 
-def test_one_sided_window_indexing():
-    ds = DigitSequence.one_sided((3, 1, 4))
-    assert list(ds.indices) == [1, 2, 3]
-    assert ds.at(1) == 3 and ds.at(3) == 4
-    with pytest.raises(IndexError):
-        ds.at(0)
+def test_digit_window_is_a_tuple_of_ints():
+    window = digit_window([np.int64(3), np.uint8(1), 4])
+    assert window == (3, 1, 4)
+    assert all(type(a) is int for a in window)
+    assert digit_window(()) == ()
+    plain = (2, 7)
+    assert digit_window(plain) is plain
 
 
-def test_two_sided_window_indexing():
-    ds = DigitSequence.two_sided((5, 9, 2, 6), index_origin=-2)
-    assert list(ds.indices) == [-2, -1, 0, 1]
-    assert ds.at(-2) == 5 and ds.at(1) == 6
-
-
-def test_digit_validation():
+@pytest.mark.parametrize(
+    "digits", [(1, 0, 2), (-3,), (2.0,), (1.5,), (True,), (np.True_,), ("1",), "12", 5]
+)
+def test_digit_window_rejects_what_is_not_a_positive_integer(digits):
+    with pytest.raises(InvalidDigits):
+        digit_window(digits)
+    # InvalidDigits is also a ValueError, so callers that catch ValueError hold
     with pytest.raises(ValueError):
-        DigitSequence.one_sided((1, 0, 2))
-    with pytest.raises(ValueError):
-        DigitSequence((1, 2), index_origin=0, sided="one")
+        digit_window(digits)
 
 
 def test_expansion_of_terminating_input_raises_with_digits():
@@ -94,7 +94,7 @@ def test_renewal_trailing_window_order():
     ds = expand_digits(Fraction(0.14159265358979312), 10)
     res = renewal_index(ds, 1e6, n_trailing=2)
     assert res.n_R == 10
-    assert res.trailing_digits == (ds.at(10), ds.at(9)) == (3, 1)
+    assert res.trailing_digits == (ds[9], ds[8]) == (3, 1)
 
 
 def test_renewal_window_longer_than_crossing_index():
@@ -110,6 +110,14 @@ def test_renewal_beyond_available_digits():
 def test_renewal_threshold_below_one_rejected():
     with pytest.raises(ValueError):
         renewal_index((1, 2, 3), 0.5)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_renewal_threshold_must_be_finite(R):
+    # no window of digits can cross a NaN or infinite R, so this is a bad
+    # input, not InsufficientDigits
+    with pytest.raises(ValueError, match="R must be finite and at least 1"):
+        renewal_index((1,) * 40, R)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,8 +174,7 @@ def test_expansion_round_trips_through_evaluation(digits):
         return
     # canonical form may merge a trailing 1 into the previous digit
     try:
-        got = expand_digits(x, len(digits))
-        assert got.digits == digits
+        assert expand_digits(x, len(digits)) == digits
     except RationalInput as exc:
         full = exc.digits
         assert evaluate_cf(full, exact=True) == x

@@ -62,6 +62,13 @@ def test_renewal_reports_unreachable_threshold(capsys):
     assert "no denominator exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("R", ["nan", "inf"])
+def test_renewal_rejects_a_non_finite_threshold(R, capsys):
+    # exit 1 is a bad input; exit 2 would claim the digits ran out
+    assert main(["renewal", "0.3", "--R", R]) == 1
+    assert "R must be finite and at least 1" in capsys.readouterr().err
+
+
 # -- theory ------------------------------------------------------------
 
 

@@ -100,6 +100,22 @@ def test_tighter_tolerance_gives_tighter_bound():
     assert abs(tight.limit - loose.limit) <= loose.error_bound
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+def test_correction_tolerance_must_be_positive_and_finite(tol):
+    # the term count floor(3 - log2(tol)) + 1 needs a finite log2(tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        correction_f(NaturalExtPoint.golden(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [8.0, 12.0, 100.0])
+def test_loose_tolerance_keeps_one_term(tol):
+    # 2**(3-1) = 4 < tol already at n = 1, and the limit needs one term;
+    # the term count formula alone gives 0 at tol=12 and -3 at tol=100
+    series = correction_f(NaturalExtPoint.golden(), tol=tol)
+    assert len(series.partials) == 1
+    assert series.error_bound == 4.0
+
+
 def test_flow_point_validation():
     p = NaturalExtPoint.golden()
     with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from cfrenewal.gauss import (
     Cylinder,
     NaturalExtPoint,
     cylinder_measure,
-    cylinder_rectangle,
     digit_frequency,
     digit_given_state_pmf,
     gauss_map,
@@ -287,7 +286,7 @@ def test_window_sampler_pair_frequencies():
     rng = substream(23, 3)
     _, digits = sample_mu2_window(rng, depth=2, size=100000)
     freq_11 = np.mean((digits[:, 0] == 1) & (digits[:, 1] == 1))
-    joint = cylinder_measure(Cylinder.two_sided((1, 1), index_origin=0), "mu2")
+    joint = cylinder_measure(Cylinder(plus_digits=(1,), minus_digits=(1,)), "mu2")
     indep = digit_frequency(1) ** 2
     assert abs(freq_11 - joint) < 0.005
     assert abs(joint - indep) > 0.01  # the dependence is real
@@ -326,17 +325,22 @@ def test_cylinder_interval_contains_its_point(digits):
     assert lo <= x <= hi
 
 
-def test_cylinder_digit_split():
-    c = Cylinder.two_sided((5, 9, 2, 6), index_origin=-2)
-    assert c.minus_digits == (2, 9, 5)
+def test_cylinder_holds_one_window_per_side():
+    # the digits a_-2 .. a_1 = 5, 9, 2, 6: the past reads back from a_0
+    c = Cylinder((6,), (np.int64(2), 9, 5))
     assert c.plus_digits == (6,)
+    assert c.minus_digits == (2, 9, 5)
+    assert all(type(a) is int for a in c.minus_digits)
+    assert Cylinder((1, 3)) == Cylinder(plus_digits=(1, 3), minus_digits=())
     with pytest.raises(InvalidDigits):
-        Cylinder.one_sided(())
+        Cylinder(())
+    with pytest.raises(InvalidDigits):
+        Cylinder((), ())
 
 
 def test_single_digit_mass_closed_form():
     for k in (1, 2, 3, 7):
-        c = Cylinder.one_sided((k,))
+        c = Cylinder((k,))
         want = math.log2(1 + 1 / (k * (k + 2)))
         assert cylinder_measure(c, "mu1") == pytest.approx(want, rel=1e-12)
         assert digit_frequency(k) == pytest.approx(want, rel=1e-12)
@@ -345,21 +349,25 @@ def test_single_digit_mass_closed_form():
 def test_one_sided_masses_agree_between_both_measures():
     # the invertible extension projects onto the interval system, so a
     # purely forward window has the same mass under either measure
-    c = Cylinder.one_sided((2, 1, 3))
+    c = Cylinder((2, 1, 3))
     assert cylinder_measure(c, "mu1") == pytest.approx(
         cylinder_measure(c, "mu2"), rel=1e-9
     )
 
 
 def test_two_sided_mass_matches_rectangle_closed_form():
-    for digits, origin in [((2, 1), 0), ((1, 1), 0), ((3, 2, 1, 4), -1)]:
-        c = Cylinder.two_sided(digits, index_origin=origin)
-        (x0, x1), (y0, y1) = cylinder_rectangle(c)
+    for plus, minus in [((1,), (2,)), ((1,), (1,)), ((1, 4), (2, 3)), ((), (2,))]:
+        c = Cylinder(plus, minus)
+        x0, x1 = interval_for_digits(minus)
+        y0, y1 = interval_for_digits(plus)
         want = math.log2(
             float((1 + x1 * y1) * (1 + x0 * y0))
             / float((1 + x1 * y0) * (1 + x0 * y1))
         )
         assert cylinder_measure(c, "mu2") == pytest.approx(want, rel=1e-9)
+        # a past constraint has no meaning for the Gauss measure on (0, 1)
+        with pytest.raises(ValueError, match="Gauss measure takes no past digits"):
+            cylinder_measure(c, "mu1")
 
 
 def test_density_integrates_to_one():
@@ -373,12 +381,13 @@ def test_density_integrates_to_one():
 def test_thin_two_sided_masses_keep_relative_precision():
     # float rectangle corners would cost about eps / width in relative error
     mpmath = pytest.importorskip("mpmath")
-    for digits, origin in [((9,) * 8, -3), ((1,) * 20, -10), ((1, 5, 2, 7, 3, 1), -2)]:
-        c = Cylinder.two_sided(digits, index_origin=origin)
+    cases = [((9,) * 4, (9,) * 4), ((1,) * 9, (1,) * 11), ((7, 3, 1), (2, 5, 1))]
+    for plus, minus in cases:
+        c = Cylinder(plus, minus)
         with mpmath.workdps(50):
             x0, x1, y0, y1 = (
                 mpmath.mpf(q.numerator) / q.denominator
-                for q in sum(cylinder_rectangle(c), ())
+                for q in interval_for_digits(minus) + interval_for_digits(plus)
             )
             want = float(mpmath.log(
                 (1 + x0 * y0) * (1 + x1 * y1) / ((1 + x0 * y1) * (1 + x1 * y0)), 2
@@ -390,9 +399,9 @@ def test_thin_two_sided_masses_keep_relative_precision():
 def test_refinement_additivity_of_interval_masses():
     # children tile the parent; the part left out after K children is the
     # subinterval next to 1/2 of width below 1/(4 K), so its mass is tiny
-    base = cylinder_measure(Cylinder.one_sided((2,)), "mu1")
+    base = cylinder_measure(Cylinder((2,)), "mu1")
     parts = sum(
-        cylinder_measure(Cylinder.one_sided((2, k)), "mu1") for k in range(1, 1500)
+        cylinder_measure(Cylinder((2, k)), "mu1") for k in range(1, 1500)
     )
     assert parts < base
     assert base - parts < 1.0 / (4 * 1500 * math.log(2))

@@ -4,6 +4,8 @@ No linter ships with the test environment, so this ``ast`` pass stands
 in for pyflakes' F401 check.  An import marked ``# noqa: F401`` is kept
 on purpose: ``bench/tracing.py`` wraps some functions by module and
 name, so those modules must hold the name even when they never call it.
+Each such import must name a function the tracer wraps on that module,
+so that a wrap the tracer drops leaves a failing test, not a dead import.
 """
 
 import ast
@@ -11,26 +13,45 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cfrenewal"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cfrenewal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACING = ROOT / "bench" / "tracing.py"
 
 
-def unused_imports(source: str) -> list[str]:
-    """Imported names that no expression reads; quoted annotations are not parsed."""
-    tree = ast.parse(source)
+def imports(source: str) -> list[tuple[str, bool]]:
+    """(name, kept) for every imported name; kept marks ``# noqa: F401``."""
     lines = source.splitlines()
-    imported = set()
-    used = set()
-    for node in ast.walk(tree):
+    out = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import) or (
             isinstance(node, ast.ImportFrom) and node.module != "__future__"
         ):
             for alias in node.names:
-                if "noqa: F401" not in lines[alias.lineno - 1]:
-                    imported.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
+                name = alias.asname or alias.name.split(".")[0]
+                out.append((name, "noqa: F401" in lines[alias.lineno - 1]))
+    return out
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that no expression reads; quoted annotations are not parsed."""
+    imported = {name for name, kept in imports(source) if not kept}
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
     return sorted(imported - used)
+
+
+def wrapped_functions(source: str) -> set[tuple[str, str]]:
+    """(module, name) pairs wrapped by the ``_patch_function`` calls in source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_patch_function"
+        ):
+            modules, name = node.args[:2]
+            out.update((module.id, name.value) for module in modules.elts)
+    return out
 
 
 def test_the_check_finds_an_unused_import():
@@ -44,6 +65,27 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["Optional"]
 
 
+def test_the_scan_finds_wrapped_functions():
+    source = (
+        "self._patch_function((cli,), 'main', 'cli')\n"
+        "self._patch_function((limitlaw, gauss), 'f', 'gauss.f', observe)\n"
+        "self._patch_method(table, 'to_csv', 'limitlaw.csv_write')\n"
+    )
+    assert wrapped_functions(source) == {
+        ("cli", "main"),
+        ("limitlaw", "f"),
+        ("gauss", "f"),
+    }
+    assert wrapped_functions(TRACING.read_text())
+
+
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_kept_imports_are_wrapped_by_the_tracer(module):
+    wrapped = wrapped_functions(TRACING.read_text())
+    kept = [name for name, kept in imports(module.read_text()) if kept]
+    assert [name for name in kept if (module.stem, name) not in wrapped] == []

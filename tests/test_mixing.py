@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from cfrenewal import mixing
-from cfrenewal.errors import InvalidSampleCount, OutOfChart, Unreachable
+from cfrenewal.cf import RenewalResult, convergents, evaluate_cf, renewal_index
+from cfrenewal.errors import InvalidDigits, InvalidSampleCount, OutOfChart, Unreachable
 from cfrenewal.flow import FlowPoint, roof_phi
-from cfrenewal.gauss import NaturalExtPoint
+from cfrenewal.gauss import Cylinder, NaturalExtPoint
 from cfrenewal.limitlaw import theoretical_pn
 from cfrenewal.mixing import (
     BoxSpec,
@@ -189,13 +190,27 @@ def test_box_validation():
     assert box.plus_digits == (1,)
 
 
-@pytest.mark.parametrize("digits", [(1.5,), (2.0,), (True,), ("1",)])
-def test_box_digits_must_be_integers(digits):
-    # a fractional digit matched no lane, so the box silently had mass 0
-    with pytest.raises(ValueError, match="must be integers"):
-        BoxSpec(plus_digits=digits)
-    with pytest.raises(ValueError, match="must be integers"):
-        BoxSpec(minus_digits=(1,) + digits)
+DIGIT_ENTRY_POINTS = {
+    "convergents": lambda d: convergents((d, 2)),
+    "evaluate_cf": lambda d: evaluate_cf((1, d)),
+    "renewal_index": lambda d: renewal_index((d,) + (3,) * 20, 10.0),
+    "renewal_result": lambda d: RenewalResult(1, 2, 1, 2.0, (d,)),
+    "point_bwd": lambda d: NaturalExtPoint((d,), (1,)),
+    "point_fwd": lambda d: NaturalExtPoint((1,), (d,)),
+    "cylinder": lambda d: Cylinder((d,)),
+    "box_plus": lambda d: BoxSpec(plus_digits=(d,)),
+    "box_minus": lambda d: BoxSpec(minus_digits=(1, d)),
+    "theoretical_pn": lambda d: theoretical_pn(1.0, 2.0, (d,)),
+}
+
+
+@pytest.mark.parametrize("entry", DIGIT_ENTRY_POINTS)
+@pytest.mark.parametrize("digit", [1.5, 2.0, True, "1", 0])
+def test_every_digit_entry_point_rejects_a_bad_digit(entry, digit):
+    # a digit that is not a positive int must not be truncated to one;
+    # a fractional box digit would match no lane and give the box mass 0
+    with pytest.raises(InvalidDigits):
+        DIGIT_ENTRY_POINTS[entry](digit)
 
 
 def test_box_digits_accept_numpy_integers():
