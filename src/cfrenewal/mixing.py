@@ -42,7 +42,6 @@ from .gauss import (
     _compact,
     _draw_digits,
     float_window,
-    sample_mu1,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
 )
 from .streams import CHUNK, allowed_cpus, chunk_sizes, run_chunks, substream
@@ -219,6 +218,22 @@ def _box_membership(
     return ind
 
 
+def _lane_buffers(m: int, dtypes) -> list[np.ndarray]:
+    """Arrays of m lanes each, carved from one private anonymous mapping.
+
+    It is unmapped once they are all freed.  Lane buffers from malloc
+    stayed in heaps whose fragmentation varied with the threads' timing.
+    """
+    import mmap  # a local import leaves the cost of importing the package unchanged
+
+    padded = [-(-m * np.dtype(d).itemsize // 64) * 64 for d in dtypes]
+    block = mmap.mmap(-1, max(sum(padded), 1), access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy does for large arrays: fewer faults
+        block.madvise(mmap.MADV_HUGEPAGE)
+    starts = np.cumsum([0, *padded[:-1]])
+    return [np.frombuffer(block, d, m, int(at)) for d, at in zip(dtypes, starts)]
+
+
 def _correlation_chunk(
     rng: np.random.Generator, m: int, A: BoxSpec, B: BoxSpec, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,18 +251,14 @@ def _correlation_chunk(
     """
     boxed = A.plus_digits + A.minus_digits + B.plus_digits + B.minus_digits
     beyond = max(boxed, default=0) + 1
-    # the results come first, so the lane buffers after them are freed as
-    # one block; allocated later, they left holes that raised peak RSS
-    w = np.empty(m)
-    a_ind = np.empty(m, dtype=bool)
+    w, a_ind, b_ind = _lane_buffers(m, (float, bool, bool))  # the results
     # lane buffers, allocated once per chunk and compacted in place, as in
     # limitlaw._renewal_chunk: fresh lane arrays at every crossing took
     # more than a third of the chunk's time
-    y = sample_mu1(rng, m)  # the chain state that draws the next digit
-    s = np.empty(m)
-    newest = np.empty(m)
-    work = np.empty(m)
-    rows = [np.empty(m, dtype=np.min_scalar_type(beyond)) for _ in range(3)]
+    types = [float] * 5 + [np.min_scalar_type(m)] + [np.min_scalar_type(beyond)] * 3
+    y, s, newest, work, h, lane, *rows = _lane_buffers(m, types)
+    # the chain state that draws the next digit, 2**u - 1 as in sample_mu1
+    np.subtract(np.exp2(rng.random(out=y), out=y), 1.0, out=y)
     for row in reversed(rows):
         _draw_digits(rng, y, newest, work)
         np.minimum(newest, beyond, out=row, casting="unsafe")
@@ -255,14 +266,14 @@ def _correlation_chunk(
         np.divide(1.0, s, out=y)
     _draw_digits(rng, y, newest, work)
     np.log(s, out=w)
-    h = rng.random(m)
+    rng.random(out=h)
     h *= w
-    b_ind = _box_membership(B, [newest, *rows], h)
+    b_ind[:] = _box_membership(B, [newest, *rows], h)
 
     # flow every lane forward by t, keeping only the rows A reads
     rows = rows[: 1 + len(A.minus_digits)]
     h += t
-    lane = np.arange(m, dtype=np.min_scalar_type(m))
+    lane[:] = np.arange(m, dtype=lane.dtype)
     live = m
     while live:
         # y is spent until the step below, so it holds the roof meanwhile
@@ -287,7 +298,7 @@ def _moments(
     w: np.ndarray, a_ind: np.ndarray, b_ind: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments of z = (w, w*ab, w*a, w*b), summed over lanes."""
-    z = np.empty((w.size, 4))
+    (z,) = _lane_buffers(w.size, [(float, 4)])
     z[:, 0] = w
     z[:, 1] = w * (a_ind & b_ind)
     z[:, 2] = w * a_ind

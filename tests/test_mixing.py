@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -385,17 +386,41 @@ def test_more_threads_than_cores_lose_no_chunk(monkeypatch):
 
 
 def test_correlation_memory_does_not_grow_with_the_chunk_count(monkeypatch):
-    # chunks run in waves of one per CPU and are folded after each wave
+    # chunks run in waves of one per CPU and are folded after each wave;
+    # tracemalloc does not see the mappings the lane buffers are carved
+    # from, so their bytes are counted as they are mapped and unmapped
     _force_cpus(monkeypatch, 2)
     A = BoxSpec(plus_digits=(1,), y_hi=0.45)
     B = BoxSpec(plus_digits=(2,), y_hi=0.45)
+    carve = mixing._lane_buffers
+    mapped = {"now": 0, "peak": 0}
+    lock = threading.Lock()
+
+    def unmapped(size):
+        with lock:
+            mapped["now"] -= size
+
+    def counted(m, dtypes):
+        lanes = carve(m, dtypes)
+        block = lanes[0]
+        while isinstance(block, np.ndarray):
+            block = block.base
+        with lock:
+            mapped["now"] += len(block)
+            mapped["peak"] = max(mapped["peak"], mapped["now"])
+        weakref.finalize(block, unmapped, len(block))
+        return lanes
+
+    monkeypatch.setattr(mixing, "_lane_buffers", counted)
 
     def peak(chunks):
+        mapped["peak"] = 0
         tracemalloc.start()
         try:
             correlation_estimate(A, B, t=1.0, M=chunks * 4 * mixing.CHUNK, seed=1)
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] + mapped["peak"]
         finally:
             tracemalloc.stop()
 
     assert peak(8) <= 1.15 * peak(2)
+    assert mapped["now"] == 0  # every mapping is gone with its call
