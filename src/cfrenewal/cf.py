@@ -110,13 +110,21 @@ def evaluate_cf(
     head: int = 0,
     exact: bool = False,
 ):
-    """Value of head + [a_1, a_2, ..., a_n] as a float or exact Fraction."""
+    """Value of head + [a_1, a_2, ..., a_n] as a float or exact Fraction.
+
+    ``head`` is any Python or numpy integer, of either sign; a bool, a
+    float or a string raises InvalidDigits.
+    """
     ds = digit_window(digits)
-    if not ds:
-        value = Fraction(head)
-    else:
+    try:
+        if isinstance(head, bool):
+            raise TypeError
+        value = Fraction(operator.index(head))
+    except TypeError:
+        raise InvalidDigits(f"head must be an integer, got {head!r}") from None
+    if ds:
         last = convergents(ds)[-1]
-        value = head + Fraction(last.p, last.q)
+        value += Fraction(last.p, last.q)
     return value if exact else float(value)
 
 

@@ -322,7 +322,7 @@ def correlation_estimate(
     the self-normalized estimator.
 
     The chunks run in waves of one chunk per CPU the process may use,
-    on separate Philox substreams of ``seed``; after each wave the
+    each on its own substream of ``seed``; after each wave the
     calling thread folds the chunks' moments in chunk order, so the
     result is bit-identical for a given (seed, M) whatever the CPU
     count, and memory does not grow with M.

@@ -1,15 +1,18 @@
 """Deterministic, splittable random streams for reproducible Monte Carlo.
 
-Chunks draw from counter-based Philox generators keyed by (seed, index),
-so any chunk of work can be recomputed independently and merge order is
-fixed by the chunk index.  Results are therefore bit-identical for a
-given seed and chunk layout.  ``run_chunks`` runs the chunks of one call
-at the same time, on the CPUs the process may use; a caller that merges
-by chunk index, or sums integer counts, gets the same bits whatever the
-CPU count.
+Chunk ``index`` of a run draws from its own SFC64 generator, seeded by
+``SeedSequence((seed, index))``, so any chunk of work can be recomputed
+independently and merge order is fixed by the chunk index.  Results are
+therefore bit-identical for a given seed and chunk layout.  This is the
+only module that builds a bit generator.  ``run_chunks`` runs the chunks
+of one call at the same time, on the CPUs the process may use; a caller
+that merges by chunk index, or sums integer counts, gets the same bits
+whatever the CPU count.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -17,14 +20,30 @@ CHUNK = 1 << 16
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator number ``index`` of the family keyed by seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+    """Independent generator number ``index`` of the family keyed by seed.
+
+    SeedSequence hashes the key ``(seed, index)`` into the generator's
+    state, so distinct keys give independent streams with no jump-ahead.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
-    """Fixed partition of a workload into chunks of at most ``chunk`` items."""
+    """Fixed partition of a workload into chunks of at most ``chunk`` items.
+
+    ``chunk`` must be an integer of at least 1 (Python or numpy, not a
+    bool); anything else raises ValueError.
+    """
     if total < 0:
         raise ValueError("total must be non-negative")
+    try:
+        if isinstance(chunk, bool):
+            raise TypeError
+        chunk = operator.index(chunk)
+    except TypeError:
+        raise ValueError(f"chunk must be an integer, got {chunk!r}") from None
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     full, rest = divmod(total, chunk)
     return [chunk] * full + ([rest] if rest else [])
 

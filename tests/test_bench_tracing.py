@@ -62,7 +62,7 @@ def test_exact_ops_reproduce_their_pinned_outputs(monkeypatch, tmp_path):
     work = workloads.Exact(7, tmp_path)
     outputs = [work.op(work.next_inputs()) for _ in range(50)]
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
-    assert digest == "926511e06b2808cda028207b2728640fb219e7598a1025a2e45e72a1d60f6c85"
+    assert digest == "3674e2f5cff5ae353276c7dedaee45d197d5ace6ff3bd676056928f8d1535282"
 
 
 def test_traced_overshoot_pass_passes_its_check(monkeypatch, tmp_path):

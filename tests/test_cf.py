@@ -55,6 +55,23 @@ def test_evaluate_with_integer_head():
     assert abs(float(v) - 7.062513334755708) < 1e-12
 
 
+@pytest.mark.parametrize("head", [0, -2, 5, np.int64(-1), np.uint8(3)])
+@pytest.mark.parametrize("digits", [(), (2,), (15, 1, 292)])
+def test_exact_evaluation_is_a_fraction_for_any_integer_head(digits, head):
+    tail = evaluate_cf(digits, exact=True)
+    v = evaluate_cf(digits, head=head, exact=True)
+    assert type(v) is Fraction
+    assert v == int(head) + tail
+    assert evaluate_cf(digits, head=head) == float(v)
+
+
+@pytest.mark.parametrize("head", [0.5, 2.0, True, np.True_, "1"])
+@pytest.mark.parametrize("digits", [(), (2,)])
+def test_evaluation_rejects_a_head_that_is_not_an_integer(digits, head):
+    with pytest.raises(InvalidDigits, match="head"):
+        evaluate_cf(digits, head=head, exact=True)
+
+
 def test_digit_window_is_a_tuple_of_ints():
     window = digit_window([np.int64(3), np.uint8(1), 4])
     assert window == (3, 1, 4)

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's quick tour, runs against the package in src/."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,3 +24,26 @@ def test_demo_runs(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_runs_and_shows_what_it_prints():
+    # the first python block of the README, one statement at a time; an
+    # expression whose comment is a Python expression must repr to it
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        code = compile(ast.Module([node], []), "README.md", "exec")
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        try:
+            ast.parse(comment, mode="eval")
+        except SyntaxError:  # a prose comment
+            continue
+        assert repr(value) == comment
+        checked += 1
+    assert checked >= 3

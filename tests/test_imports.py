@@ -1,4 +1,4 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and only streams builds a generator.
 
 No linter ships with the test environment, so this ``ast`` pass stands
 in for pyflakes' F401 check.  An import marked ``# noqa: F401`` is kept
@@ -11,12 +11,19 @@ so that a wrap the tracer drops leaves a failing test, not a dead import.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cfrenewal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TRACING = ROOT / "bench" / "tracing.py"
+# every numpy bit generator, and the two calls that build one implicitly
+GENERATOR_NAMES = {
+    name for name in dir(np.random)
+    if isinstance(getattr(np.random, name), type)
+    and issubclass(getattr(np.random, name), np.random.BitGenerator)
+} | {"default_rng", "RandomState"}
 
 
 def imports(source: str) -> list[tuple[str, bool]]:
@@ -89,3 +96,35 @@ def test_kept_imports_are_wrapped_by_the_tracer(module):
     wrapped = wrapped_functions(TRACING.read_text())
     kept = [name for name, kept in imports(module.read_text()) if kept]
     assert [name for name in kept if (module.stem, name) not in wrapped] == []
+
+
+def generator_names(source: str) -> list[str]:
+    """Names of numpy bit generators or default_rng that source reads or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names]
+    return sorted(set(found) & GENERATOR_NAMES)
+
+
+def test_the_scan_finds_bit_generators():
+    assert {"Philox", "SFC64", "PCG64", "MT19937"} <= GENERATOR_NAMES
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import PCG64\n"
+        "rng = np.random.default_rng(1)\n"
+        "gen = np.random.Generator(np.random.Philox(7))\n"
+    )
+    assert generator_names(source) == ["PCG64", "Philox", "default_rng"]
+    assert generator_names("rng.random(3)\n") == []
+
+
+def test_only_streams_builds_a_bit_generator():
+    # one module keys every stream, so a change of generator is one line
+    sources = sorted(SRC.glob("*.py"))
+    builders = [p.name for p in sources if generator_names(p.read_text())]
+    assert builders == ["streams.py"]

@@ -165,36 +165,35 @@ def test_trailing_window_sampler_is_pinned_bit_for_bit():
     # the N = 2 digit window of the renewal kernel, fixed at a known-good state
     t = empirical_pn(R=1e6, M=50_000, N=2, seed=123)
     digest = hashlib.sha256(t.mass.tobytes()).hexdigest()
-    assert digest == "cb7232a480e40ab9075fbe8c13a556be7e3ddd76f7c0881aaba1bd1d308559c3"
+    assert digest == "f6b721e2b99a43ef6c79da34ea102cdc3ca4817b81a50ecc6b8d88977dd3d167"
 
 
-# pins taken from the serial kernel, before chunks ran on threads
+# pins of the SFC64 streams, taken at one and at two CPUs, which agreed
 MULTI_CHUNK_PINS = [
     (
         dict(R=1e6, M=300_000, N=2, seed=123),
-        "6be0463990400d994117ba4c1eba6c45679892b2c2a3620dd9561e244738d4a3",
-        0,
+        "f49fdfa9560212d84126a52443453bf822515c536731063b489c52e39ed2a0ff",
+        1,
     ),
     (
         dict(R=10, M=20_000, N=3, seed=123, chunk=1 << 12, max_rejected_fraction=1.0),
-        "747563280a39cde40715d269ac2acc9897d388340d283598ea9847906be44b00",
-        7252,
+        "d9f5a6671b093d8fd30ff982aaf7ff3964feddbfef8bf1671fbab75c63cc74fb",
+        7323,
     ),
     (
         dict(R=1e4, M=50_000, N=1, digit_range=300, seed=5, chunk=1 << 13),
-        "6658b7c6d2c014577ea6997d2b10c3a870af2df2271dc641a60cf392a46417f2",
+        "ab40998244e6d98473a92460eae24c1b197790aa67effe73e95e90bdf81ced50",
         0,
     ),
     (
         dict(R=1e9, M=40_000, N=0, seed=9, chunk=1 << 12),
-        "bf1b979c8833bf69ed4b07495d167a38f6743d6a6fbfbb5429d530ee222f0782",
+        "5d6a83012d6ca5539346c64cebe6b0496f4f39ab63c0c3e6e29616e4ad5e9e8f",
         0,
     ),
-    # taken from the kernel that rebuilt its digit window at every step:
     # a threshold at the top of the exact range, and two rotating uint16 rows
     (
         dict(R=2**52, M=100_000, N=2, seed=17),
-        "4f37b4846cd4255dfc2c3ee32c1c56fab76cd0c3b4891e326efd52be35a77333",
+        "c0abe28c59aecbc975df7a93a77e14df4201839da79a733acbf9f02596a114e7",
         0,
     ),
     (
@@ -202,7 +201,7 @@ MULTI_CHUNK_PINS = [
             R=1e4, M=40_000, N=2, digit_range=300, bins=(1.0, 1.5, 2.0),
             seed=8, chunk=1 << 13,
         ),
-        "e5d93a837e506ab06b5087e3d1f30ce27196fa75f5674528488e4650cc66b064",
+        "9e896b9e7642f7b4a0abf7cccbffd03b1a8417bc3b254ea1464978c2b45c64b4",
         6,
     ),
 ]
@@ -273,7 +272,7 @@ def test_more_threads_than_cores_lose_no_count(monkeypatch):
 def test_sampler_regression_pin():
     # guards the sampling engine against silent behavioral drift
     t = empirical_pn(R=1e6, M=50000, N=0, bins=(1.0, 1.5, 2.0), seed=123)
-    assert t.mass[0].tolist() == [0.29538, 0.15998, 0.54464]
+    assert t.mass[0].tolist() == [0.29444, 0.16128, 0.54428]
 
 
 def test_sampled_mass_accounts_for_rejections():

