@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules, and the sample-count check."""
+"""Exception hierarchy shared by all modules, and the integer-argument checks."""
+
+import operator
 
 
 class CFRenewalError(Exception):
@@ -72,3 +74,16 @@ def sample_count(M) -> int:
     if M < 1:
         raise InvalidSampleCount(f"M must be positive, got {M}")
     return M
+
+
+def integer_arg(value, name: str) -> int:
+    """value as an int, if it is a Python or numpy integer; else ValueError naming it.
+
+    A bool is refused, though Python counts it as an integer.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

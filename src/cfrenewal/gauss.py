@@ -24,14 +24,17 @@ chain with transition kernel
 
     P(a = k | y) = (1+y) / ((k+y)(k+y+1)),    y' = 1/(k+y),
 
-which this module samples vectorized over lanes
-(``sample_digit_given_state``) and, for one point, in a scalar loop
-(``sample_mu2_window``).  Every Monte Carlo run in the package draws
-its digits from this one chain, because it produces exact-law digit
-strings of unlimited depth in plain doubles.  Both lane kernels, the
+which this module samples by its inverse CDF, ``_draw_digits``, into
+caller-owned lane buffers (``sample_digit_given_state`` is the
+allocating form for one array of states), and for one point in a
+scalar loop (``sample_mu2_window``).  Every Monte Carlo run in the
+package draws its digits from this one chain, because it produces
+exact-law digit strings of unlimited depth in plain doubles.  The
+vector form of ``sample_mu2_window`` and both lane kernels, the
 renewal kernel of ``limitlaw`` and the correlation kernel of
 ``mixing``, own their lane buffers: they draw digits into them with
-``_draw_digits`` and drop finished lanes in place with ``_compact``.
+``_draw_digits``, and the kernels drop finished lanes in place with
+``_compact``.
 """
 
 from __future__ import annotations
@@ -335,11 +338,15 @@ def sample_mu2_window(rng: np.random.Generator, depth: int, size=None):
         return y0, tuple(digs)
     y0 = sample_mu1(rng, size)
     y = y0.copy()
+    a = np.empty(size)
+    work = np.empty(size)
     digs = np.empty((size, depth), dtype=np.int64)
     for j in range(depth):
-        a = sample_digit_given_state(rng, y)
+        _draw_digits(rng, y, a, work)
         digs[:, j] = a
-        y = 1.0 / (a + y)
+        # y = 1/(a + y) in place; a is spent until the next draw
+        a += y
+        np.divide(1.0, a, out=y)
     return y0, digs
 
 

@@ -36,7 +36,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cf import digit_window
-from .errors import BudgetExceeded, IncompatibleTables, InvalidBins, sample_count
+from .errors import (
+    BudgetExceeded,
+    IncompatibleTables,
+    InvalidBins,
+    integer_arg,
+    sample_count,
+)
 from .gauss import LN2, _compact, _draw_digits, interval_for_digits, sample_mu1
 # bench/tracing.py wraps limitlaw.sample_digit_given_state by name; nothing
 # here calls it, since the renewal kernel draws with _draw_digits
@@ -454,9 +460,11 @@ def _renewal_chunk(
     denominators, the newest digit as a float, one scratch buffer, the
     crossing mask and N digit rows, newest first, clipped to
     digit_range + 1, which stands for every digit beyond the range.
-    Digits are drawn into them with ``gauss._draw_digits``, the rows
-    rotate at every step, and crossed lanes are dropped in place with
-    ``gauss._compact``.
+    Digits are drawn into them with ``gauss._draw_digits``, and the rows
+    rotate at every step.  The crossed lanes of a step are indexed once,
+    and their ratios and digit rows gathered by that index, not by one
+    pass of the crossing mask per row; then they are dropped in place
+    with ``gauss._compact``.
     """
     # fresh lane arrays at every step fragment each thread's heap and raise
     # the peak RSS; the two newest denominators swap buffers at every step
@@ -486,19 +494,19 @@ def _renewal_chunk(
             rows.insert(0, rows.pop())
             np.minimum(a, beyond, out=rows[0][:live], casting="unsafe")
         done = np.greater(q_new, R, out=mask[:live])
-        crossed = int(np.count_nonzero(done))
-        if not crossed:
+        hit = np.flatnonzero(done)
+        if not hit.size:
             continue
         if steps < N:
-            rejected += crossed
+            rejected += hit.size
         else:
             # at N = 0 every sample falls in the single row 0
-            col = np.searchsorted(edges, q_new[done] / R, side="right") - 1
+            col = np.searchsorted(edges, q_new[hit] / R, side="right") - 1
             np.minimum(col, last_col, out=col)
-            row = np.zeros(crossed, dtype=np.int64)
-            outside = np.zeros(crossed, dtype=bool)
+            row = np.zeros(hit.size, dtype=np.int64)
+            outside = np.zeros(hit.size, dtype=bool)
             for digits in rows:
-                d = digits[:live][done]
+                d = digits[hit]
                 row = row * digit_range + (d - 1)
                 outside |= d == beyond
             row[outside] = overflow_row
@@ -537,11 +545,25 @@ def empirical_pn(
     comes before N digits exist are counted as rejected; more than
     ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
+    N and digit_range must be integers (not bools), and
+    max_rejected_fraction a number in [0, 1]; these, M, R, the bins and
+    the chunk size are checked before anything is sampled.
     """
+    import numbers  # a local import leaves the cost of importing the package unchanged
+
     M = sample_count(M)
     _check_threshold(R)
+    N = integer_arg(N, "N")
+    digit_range = integer_arg(digit_range, "digit_range")
     if N < 0:
         raise ValueError("N must be non-negative")
+    budget = max_rejected_fraction
+    if isinstance(budget, bool) or not (
+        isinstance(budget, numbers.Real) and 0 <= budget <= 1
+    ):
+        raise ValueError(
+            f"max_rejected_fraction must be a number in [0, 1], got {budget!r}"
+        )
     edges, tuples = _table_layout(N, bins, digit_range)
     edges = np.asarray(edges)
     sizes = chunk_sizes(M, chunk)

@@ -44,7 +44,7 @@ from .gauss import (
     float_window,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
 )
-from .streams import CHUNK, allowed_cpus, chunk_sizes, run_chunks, substream
+from .streams import CHUNK, chunk_sizes, run_chunks, substream
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
@@ -321,32 +321,33 @@ def correlation_estimate(
     comes from the delta method applied to the four weighted moments of
     the self-normalized estimator.
 
-    The chunks run in waves of one chunk per CPU the process may use,
-    each on its own substream of ``seed``; after each wave the
-    calling thread folds the chunks' moments in chunk order, so the
-    result is bit-identical for a given (seed, M) whatever the CPU
-    count, and memory does not grow with M.
+    Each chunk runs on its own substream of ``seed``, on whichever
+    thread takes it, and that thread folds the chunk's lanes into its
+    two moment sums before it takes the next chunk, so memory does not
+    grow with M.  The calling thread adds the moment sums in chunk
+    order, so the result is bit-identical for a given (seed, M)
+    whatever the CPU count.
     """
     M = sample_count(M)
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and non-negative")
     sizes = chunk_sizes(M, 4 * CHUNK)
-    width = allowed_cpus()
+    moments = [None] * len(sizes)
+
+    def drain(take):
+        for idx in iter(take, None):
+            # folded in the same expression, so the chunk's lanes are freed
+            # before this thread maps the next chunk's
+            moments[idx] = _moments(
+                *_correlation_chunk(substream(seed, idx), sizes[idx], A, B, t)
+            )
+
+    run_chunks(len(sizes), drain)
     m1 = np.zeros(4)
     m2 = np.zeros((4, 4))
-    for first in range(0, len(sizes), width):
-        wave = [None] * min(width, len(sizes) - first)
-
-        def drain(take):
-            for i in iter(take, None):
-                idx = first + i
-                wave[i] = _correlation_chunk(substream(seed, idx), sizes[idx], A, B, t)
-
-        run_chunks(len(wave), drain)
-        while wave:  # in chunk order, each chunk freed once folded
-            s1, s2 = _moments(*wave.pop(0))
-            m1 += s1
-            m2 += s2
+    for s1, s2 in moments:  # in chunk order
+        m1 += s1
+        m2 += s2
     mean = m1 / M
     cov = m2 / M - np.outer(mean, mean)
     mw, mab, ma, mb = mean

@@ -12,9 +12,9 @@ whatever the CPU count.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .errors import integer_arg
 
 CHUNK = 1 << 16
 
@@ -36,12 +36,7 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
     """
     if total < 0:
         raise ValueError("total must be non-negative")
-    try:
-        if isinstance(chunk, bool):
-            raise TypeError
-        chunk = operator.index(chunk)
-    except TypeError:
-        raise ValueError(f"chunk must be an integer, got {chunk!r}") from None
+    chunk = integer_arg(chunk, "chunk")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     full, rest = divmod(total, chunk)

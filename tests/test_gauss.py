@@ -1,5 +1,6 @@
 """Shift dynamics, invariant measures, cylinders, and samplers."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -278,6 +279,15 @@ def test_window_sampler_digit_marginals_are_stationary():
         for k in (1, 2, 3):
             freq = np.mean(digits[:, col] == k)
             assert abs(freq - digit_frequency(k)) < 3 * se
+
+
+def test_vector_window_sampler_is_pinned_bit_for_bit():
+    # taken from the sampler that drew through sample_digit_given_state and
+    # int64 digits; the in-place draw must give the same bits
+    y0, digits = sample_mu2_window(substream(29, 4), depth=20, size=3000)
+    assert digits.dtype == np.int64 and digits.shape == (3000, 20)
+    digest = hashlib.sha256(y0.tobytes() + digits.tobytes()).hexdigest()
+    assert digest == "a1c5ec2d334a6258d62877589ab8552c3398aa01e477e55e1d11e6af4b7dc58e"
 
 
 def test_window_sampler_pair_frequencies():

@@ -211,8 +211,17 @@ def _force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def _pin_id(kwargs):
+    # built from the inputs alone, so a re-pin keeps every test ID
+    return f"R={kwargs['R']:g}-N={kwargs['N']}-seed={kwargs['seed']}"
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("kwargs, digest, rejected", MULTI_CHUNK_PINS)
+@pytest.mark.parametrize(
+    "kwargs, digest, rejected",
+    MULTI_CHUNK_PINS,
+    ids=[_pin_id(kwargs) for kwargs, _, _ in MULTI_CHUNK_PINS],
+)
 def test_multi_chunk_tables_are_pinned_whatever_the_cpu_count(
     kwargs, digest, rejected, cpus, monkeypatch
 ):
@@ -291,6 +300,53 @@ def test_sampler_input_validation():
         empirical_pn(R=1e5, M=0)
     with pytest.raises(ValueError):
         empirical_pn(R=5.0, M=100)
+
+
+def _no_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a chunk was sampled before the inputs were checked")
+
+    monkeypatch.setattr(limitlaw, "_renewal_chunk", sampled)
+
+
+@pytest.mark.parametrize("name", ["N", "digit_range"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, "2", None])
+def test_window_parameters_must_be_integers(name, value, monkeypatch):
+    # unchecked, N=1.5 raised a bare TypeError deep in the kernel and
+    # N=True was taken as 1
+    _no_sampling(monkeypatch)
+    kwargs = dict(R=1e4, M=1000, N=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        empirical_pn(**kwargs)
+
+
+def test_numpy_integer_window_parameters_are_accepted():
+    t = empirical_pn(R=1e4, M=2000, N=np.int64(1), digit_range=np.uint8(3), seed=3)
+    want = empirical_pn(R=1e4, M=2000, N=1, digit_range=3, seed=3)
+    assert t.digit_tuples == want.digit_tuples
+    assert t.mass.tobytes() == want.mass.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fraction", [math.nan, -1, -1e-9, 1.5, math.inf, -math.inf, True, "0.5", None]
+)
+def test_rejection_budget_must_be_a_fraction(fraction, monkeypatch):
+    # unchecked, nan switched the budget off, and -1 raised BudgetExceeded
+    # even when no sample was rejected
+    _no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="max_rejected_fraction must be a number"):
+        empirical_pn(R=10.0, M=1000, N=3, seed=1, max_rejected_fraction=fraction)
+
+
+def test_rejection_budget_bounds_are_inclusive():
+    # about a third of these samples cross before three digits exist
+    t = empirical_pn(R=10.0, M=1000, N=3, seed=1, max_rejected_fraction=1)
+    assert t.rejected > 0
+    with pytest.raises(BudgetExceeded, match="of 1000 samples rejected"):
+        empirical_pn(R=10.0, M=1000, N=3, seed=1, max_rejected_fraction=0.0)
+    clean = empirical_pn(R=1e4, M=1000, seed=1, max_rejected_fraction=np.float64(0))
+    assert clean.rejected == 0
 
 
 @pytest.mark.parametrize("M", [1e4, 100.0, 2.5, True, "100"])

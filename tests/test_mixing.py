@@ -367,7 +367,7 @@ def test_a_failing_correlation_chunk_is_raised_and_its_threads_are_joined(monkey
 
 
 def test_more_threads_than_cores_lose_no_chunk(monkeypatch):
-    # each chunk's result lands in its own slot of a wave; a lost or
+    # each chunk's moments land in the chunk's own slot; a lost or
     # misplaced one would change the bits
     monkeypatch.setattr(mixing, "CHUNK", 1 << 10)
     A = BoxSpec((1,), (2,), y_hi=0.6)
@@ -385,10 +385,44 @@ def test_more_threads_than_cores_lose_no_chunk(monkeypatch):
     assert threaded == serial
 
 
+def test_each_chunk_is_folded_on_the_thread_that_ran_it(monkeypatch):
+    monkeypatch.setattr(mixing, "CHUNK", 1 << 10)
+    A = BoxSpec((1,), (2,), y_hi=0.6)
+    B = BoxSpec((2,), y_hi=0.45)
+    kwargs = dict(A=A, B=B, t=3.0, M=6 * 4 * mixing.CHUNK + 7, seed=9)
+    _force_cpus(monkeypatch, 1)
+    serial = correlation_estimate(**kwargs)
+
+    run_chunk, fold = mixing._correlation_chunk, mixing._moments
+    ran_on = {}  # a chunk's weight array, by id, to the thread that ran it
+    folds = []
+    lock = threading.Lock()
+
+    def recorded_chunk(*args):
+        lanes = run_chunk(*args)
+        with lock:
+            ran_on[id(lanes[0])] = threading.get_ident()
+        return lanes
+
+    def recorded_fold(w, a_ind, b_ind):
+        with lock:
+            folds.append(ran_on.pop(id(w)) == threading.get_ident())
+        return fold(w, a_ind, b_ind)
+
+    monkeypatch.setattr(mixing, "_correlation_chunk", recorded_chunk)
+    monkeypatch.setattr(mixing, "_moments", recorded_fold)
+    _force_cpus(monkeypatch, 2)
+    threaded = correlation_estimate(**kwargs)
+    assert len(folds) == 7 and all(folds)
+    assert not ran_on
+    assert threaded == serial
+
+
 def test_correlation_memory_does_not_grow_with_the_chunk_count(monkeypatch):
-    # chunks run in waves of one per CPU and are folded after each wave;
-    # tracemalloc does not see the mappings the lane buffers are carved
-    # from, so their bytes are counted as they are mapped and unmapped
+    # each thread folds a chunk into its moments before it takes the next,
+    # so only one chunk per thread is alive at a time; tracemalloc does not
+    # see the mappings the lane buffers are carved from, so their bytes are
+    # counted as they are mapped and unmapped
     _force_cpus(monkeypatch, 2)
     A = BoxSpec(plus_digits=(1,), y_hi=0.45)
     B = BoxSpec(plus_digits=(2,), y_hi=0.45)
