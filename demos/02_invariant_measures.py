@@ -54,11 +54,11 @@ print(f"\ntwo-sided: P(a1=1) = {pa:.4f}, P(a0=1) = {pb:.4f}, "
 
 both_one = Cylinder(plus_digits=(1,), minus_digits=(1,))
 print("exact joint mass of the (1, 1) window:",
-      f"{cylinder_measure(both_one, which='mu2'):.4f}")
+      f"{cylinder_measure(both_one):.4f}")
 
 # deeper cylinders refine additively
-top = cylinder_measure(Cylinder((1,)), which="mu1")
-parts = sum(cylinder_measure(Cylinder((1, k)), which="mu1")
+top = cylinder_measure(Cylinder((1,)))
+parts = sum(cylinder_measure(Cylinder((1, k)))
             for k in range(1, 2000))
 print(f"\nmass of [a1=1] = {top:.6f}; its depth-2 refinement sums to "
       f"{parts:.6f} (tail above k=2000 makes up the rest)")

@@ -8,6 +8,8 @@ and the convergents p_n / q_n are the truncations in lowest terms,
 generated by the standard three-term recursion with exact integers.
 A finite run of digits, a digit window, is a plain tuple of ints, and
 every function that takes one checks it with ``digit_window``.
+``rational_digits`` is the package's one Euclid loop and
+``window_value`` its one exact evaluation of a window.
 The renewal index n_R is the first n whose denominator q_n exceeds a
 threshold R; the overshoot ratio q_{n_R} / R and the last few digits
 before the crossing are the quantities whose joint law the rest of the
@@ -105,6 +107,21 @@ def convergents(digits: Sequence[int]) -> list[Convergent]:
     return out
 
 
+def window_value(digits: Sequence[int]) -> tuple[int, int]:
+    """Exact value n/d of a finite digit window, as the pair (n, d).
+
+    The backward recursion x -> 1/(a + x) runs on integers as
+    (n, d) -> (d, a*d + n), starting from (0, 1), so the pair is in
+    lowest terms and the empty window is 0/1.  The float n / d is
+    correctly rounded, so a window read off a float evaluates back to
+    it bit for bit.  The window is not checked here.
+    """
+    n, d = 0, 1
+    for a in reversed(digits):
+        n, d = d, a * d + n
+    return n, d
+
+
 def evaluate_cf(
     digits: Sequence[int],
     head: int = 0,
@@ -122,26 +139,27 @@ def evaluate_cf(
         value = Fraction(operator.index(head))
     except TypeError:
         raise InvalidDigits(f"head must be an integer, got {head!r}") from None
-    if ds:
-        last = convergents(ds)[-1]
-        value += Fraction(last.p, last.q)
+    value += Fraction(*window_value(ds))
     return value if exact else float(value)
 
 
-def _expand_fraction(x: Fraction, n_max: int) -> list[int]:
-    """Exact Euclidean digit extraction; raises if x terminates early."""
-    num, den = x.numerator, x.denominator
+def rational_digits(x: Union[float, Fraction]) -> tuple[int, ...]:
+    """Every digit of a rational x in [0, 1), by Euclid's algorithm.
+
+    A float is read as the dyadic rational it is, so its expansion
+    terminates (after 20 to 48 digits for typical values) and
+    ``window_value`` gives x back exactly.  0 has the empty window.
+    """
+    frac = Fraction(x)
+    num, den = frac.numerator, frac.denominator
+    if not 0 <= num < den:
+        raise ValueError(f"x must lie in [0, 1), got {x!r}")
     out = []
-    while len(out) < n_max:
-        if num == 0:
-            raise RationalInput(
-                f"rational input: expansion terminates after {len(out)} digits",
-                digits=out,
-            )
+    while num:
         a, rem = divmod(den, num)
         out.append(a)
         num, den = rem, num
-    return out
+    return tuple(out)
 
 
 def _expand_fixed(x: FixedReal, n_max: int) -> list[int]:
@@ -159,9 +177,9 @@ def expand_digits(x: RealLike, n_max: int) -> tuple[int, ...]:
     ``convergents``, ``evaluate_cf`` and ``renewal_index`` read.  Floats
     are treated as the exact dyadic rationals they are; use a FixedReal
     input for certified deep expansions of irrational values.  Raises
-    RationalInput when the expansion terminates before n_max digits, and
-    PrecisionExhausted when a FixedReal enclosure can no longer certify
-    the next digit.
+    RationalInput, carrying every digit, when the expansion terminates
+    before n_max digits, and PrecisionExhausted when a FixedReal
+    enclosure can no longer certify the next digit.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -172,7 +190,13 @@ def expand_digits(x: RealLike, n_max: int) -> tuple[int, ...]:
     x_frac = Fraction(x)
     if not (0 < x_frac < 1):
         raise ValueError("x must lie in (0, 1)")
-    return tuple(_expand_fraction(x_frac, n_max))
+    digits = rational_digits(x_frac)
+    if len(digits) < n_max:
+        raise RationalInput(
+            f"rational input: expansion terminates after {len(digits)} digits",
+            digits=digits,
+        )
+    return digits[:n_max]
 
 
 def renewal_index(

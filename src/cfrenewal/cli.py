@@ -10,8 +10,10 @@ compare   distance report between two tables
 flow      trajectory trace of the suspension flow
 mixing    correlation-decay curve between two boxes
 
-Every command is deterministic given its flags; table files embed the
-full configuration.  Exit codes: 0 success, 2 bad numeric input
+Every command is deterministic given its flags.  A JSON table file
+embeds the full run configuration; a CSV table file holds only the
+table's own metadata lines (sample count, R, rejected count, seed,
+edges).  Exit codes: 0 success, 2 bad numeric input
 (rational or precision), 3 spent sampling budget, 4 incompatible tables,
 1 other errors.  CFRENEWAL_SEED sets the default seed.
 """
@@ -28,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cf import convergents, expand_digits, renewal_index
+from .cf import convergents, expand_digits, rational_digits, renewal_index
 from .errors import (
     BudgetExceeded,
     CFRenewalError,
@@ -72,10 +74,6 @@ class RunConfig:
     bin_count: int = 120
     out_format: str = "json"
     out_path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.samples < 0 or self.N < 0:
-            raise ValueError("numeric config fields must be positive")
 
 
 def _sample_count(text: str) -> int:
@@ -129,14 +127,13 @@ def cmd_expand(args) -> int:
 
 def cmd_renewal(args) -> int:
     x = Fraction(args.x)
+    if args.n_max < 1:
+        raise ValueError("n_max must be positive")
+    if not 0 < x < 1:
+        raise ValueError("x must lie in (0, 1)")
     # A decimal input is rational, so its expansion may terminate before
     # n_max digits; the crossing is still exact if it happens earlier.
-    try:
-        digits = expand_digits(x, args.n_max)
-    except RationalInput as exc:
-        if not exc.digits:
-            raise
-        digits = exc.digits
+    digits = rational_digits(x)[: args.n_max]
     res = renewal_index(digits, args.R, n_trailing=args.trailing)
     print(f"n_R      = {res.n_R}")
     print(f"q_nR     = {res.q_nR}")

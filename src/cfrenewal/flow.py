@@ -34,34 +34,42 @@ def roof_phi(p: NaturalExtPoint) -> float:
     return math.log(p.digit(1) + p.alpha_minus)
 
 
-def _forward_digits(p: NaturalExtPoint, n: int) -> tuple[int, ...]:
-    """First n future digits; InsufficientDigits if the window is shorter."""
+def _roof_walk(p: NaturalExtPoint, n: int) -> tuple[list[int], list[float]]:
+    """Denominators q_k and Birkhoff sums S_k for k = 1, ..., n.
+
+    The roof values come from the backward-coordinate chain
+    y' = 1/(a + y), at a fraction of the cost of stepping the point.
+    The chain contracts rounding errors, so each y stays within a few
+    ulp of the exact backward coordinate that stepping reads.
+    InsufficientDigits if the forward window holds fewer than n digits.
+    """
     if len(p.fwd) < n:
         raise InsufficientDigits(f"need {n} future digits, have {len(p.fwd)}")
-    return p.fwd[:n]
+    y = p.alpha_minus
+    q_prev, q_cur = 0, 1
+    s = 0.0
+    qs, sums = [], []
+    for a in p.fwd[:n]:
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        s += math.log(a + y)
+        y = 1.0 / (a + y)
+        qs.append(q_cur)
+        sums.append(s)
+    return qs, sums
 
 
 def birkhoff_sum(p: NaturalExtPoint, r: int) -> float:
     """S_r = sum of roof values along the first r shift iterates.
 
-    Evaluated through the backward-coordinate chain y' = 1/(a + y), at
-    a fraction of the cost of stepping the point.  The chain contracts
-    rounding errors, so each y stays within a few ulp of the exact
-    backward coordinate that stepping reads; the result agrees with the
-    sum of stepped roof values up to rounding, not bit for bit (on
-    sampled points with r = 30, a relative gap of at most about 2e-16).
+    Read off the roof-sum walk; it agrees with the sum of stepped roof
+    values up to rounding, not bit for bit (on sampled points with
+    r = 30, a relative gap of at most about 2e-16).
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     if r == 0:
         return 0.0
-    digits = _forward_digits(p, r)
-    y = p.alpha_minus
-    total = 0.0
-    for a in digits:
-        total += math.log(a + y)
-        y = 1.0 / (a + y)
-    return total
+    return _roof_walk(p, r)[1][-1]
 
 
 @dataclass(frozen=True)
@@ -78,18 +86,10 @@ def correction_f(p: NaturalExtPoint, tol: float = 1e-9) -> CorrectionSeries:
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n_stop = max(1, math.floor(3.0 - math.log2(tol)) + 1)
-    digits = _forward_digits(p, n_stop)
-    y = p.alpha_minus
-    q_prev, q_cur = 0, 1
-    s = 0.0
-    partials = []
-    for a in digits:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        s += math.log(a + y)
-        y = 1.0 / (a + y)
-        partials.append(math.log(q_cur) - s)
+    qs, sums = _roof_walk(p, n_stop)
+    partials = tuple(math.log(q) - s for q, s in zip(qs, sums))
     return CorrectionSeries(
-        partials=tuple(partials),
+        partials=partials,
         limit=partials[-1],
         error_bound=2.0 ** (3 - n_stop),
     )
@@ -193,8 +193,11 @@ def renewal_vs_flow_check(
     n_R = res.n_R
     T = math.log(R) - f_ref
     r = renewal_time(p, T)
-    f_here = correction_f(p, tol=2.0 ** (-n_R - 8)).limit
-    defect = abs(math.log(res.q_nR) - birkhoff_sum(p, n_R) - f_here)
+    # one walk gives S_(n_R) and f to within 2**(-n_R - 8), which takes
+    # n_R + 12 digits (the series length of correction_f at that tol)
+    qs, sums = _roof_walk(p, n_R + 12)
+    f_here = math.log(qs[-1]) - sums[-1]
+    defect = abs(math.log(res.q_nR) - sums[n_R - 1] - f_here)
     return RenewalFlowReport(
         n_R=n_R,
         renewal_r=r,

@@ -47,45 +47,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cf import convergents, digit_window
+from .cf import convergents, digit_window, rational_digits, window_value
 from .errors import InsufficientDigits, InvalidDigits, RationalInput
 from .fixedreal import FixedReal
 
 LN2 = math.log(2.0)
-
-
-def _eval_digits(digits: Sequence[int]) -> tuple[int, int]:
-    """Exact value n/d of a finite digit window, as the pair (n, d).
-
-    The backward recursion x -> 1/(a + x) runs on integers as
-    (n, d) -> (d, a*d + n), starting from (0, 1).  Coordinates are the
-    float n / d; int true division is correctly rounded, so each is
-    rounded exactly once and round-trips bit-for-bit through digit
-    storage.  Stepped points carry their pairs (see
-    ``NaturalExtPoint.step``), so this O(window) loop runs once per
-    orbit, not once per step.
-    """
-    n, d = 0, 1
-    for a in reversed(digits):
-        n, d = d, a * d + n
-    return n, d
-
-
-def float_window(x: float) -> tuple[int, ...]:
-    """Every digit of a binary64 x in (0,1).
-
-    A binary64 value is a dyadic rational, so its expansion terminates
-    (after 20 to 48 digits for typical values) and the window evaluates
-    back to x exactly.
-    """
-    frac = Fraction(x)
-    num, den = frac.numerator, frac.denominator
-    out: list[int] = []
-    while num:
-        a, rem = divmod(den, num)
-        out.append(a)
-        num, den = rem, num
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -122,7 +88,7 @@ class NaturalExtPoint:
         """
         if not (0.0 < alpha_minus < 1.0 and 0.0 < alpha_plus < 1.0):
             raise ValueError("coordinates must lie in (0, 1)")
-        return cls(float_window(alpha_minus), float_window(alpha_plus))
+        return cls(rational_digits(alpha_minus), rational_digits(alpha_plus))
 
     @classmethod
     def golden(cls, depth: int = 96) -> "NaturalExtPoint":
@@ -140,11 +106,11 @@ class NaturalExtPoint:
 
     @cached_property
     def _plus_nd(self) -> tuple[int, int]:
-        return _eval_digits(self.fwd)
+        return window_value(self.fwd)
 
     @cached_property
     def _minus_nd(self) -> tuple[int, int]:
-        return _eval_digits(self.bwd)
+        return window_value(self.bwd)
 
     @cached_property
     def alpha_plus(self) -> float:
@@ -361,7 +327,7 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
     """
     if size is None:
         y0, digs = sample_mu2_window(rng, depth)
-        return NaturalExtPoint(float_window(y0), digs)
+        return NaturalExtPoint(rational_digits(y0), digs)
     plus = sample_mu1(rng, size)
     v = rng.random(size)
     minus = v / (1.0 + plus * (1.0 - v))
@@ -422,25 +388,21 @@ def mu2_density(am, ap):
     return 1.0 / (LN2 * (1.0 + am * ap) ** 2)
 
 
-def cylinder_measure(c: Cylinder, which: str = "mu1") -> float:
+def cylinder_measure(c: Cylinder) -> float:
     """Invariant mass of a cylinder, in closed form.
 
-    With no past constraint, the mass under either measure is the Gauss
-    mass of the future window's interval [y0, y1].  Otherwise the past
-    window's interval [x0, x1] joins it, and the mu2 mass of the
-    rectangle [x0, x1] x [y0, y1] is
+    With no past constraint, the mass is the Gauss mass of the future
+    window's interval [y0, y1], which is also its mu2 mass.  Otherwise
+    the past window's interval [x0, x1] joins it, and the mu2 mass of
+    the rectangle [x0, x1] x [y0, y1] is
     log2((1+x0*y0)(1+x1*y1) / ((1+x0*y1)(1+x1*y0))); the ratio minus 1,
     (x1-x0)(y1-y0) / ((1+x0*y1)(1+x1*y0)), is formed exactly in
     Fraction and passed to log1p, so thin cylinders keep their
     relative precision.
     """
-    if which not in ("mu1", "mu2"):
-        raise ValueError("which must be 'mu1' or 'mu2'")
     y0, y1 = interval_for_digits(c.plus_digits)
     if not c.minus_digits:
         return _mu1_interval_mass(y0, y1)
-    if which == "mu1":
-        raise ValueError("the Gauss measure takes no past digits")
     x0, x1 = interval_for_digits(c.minus_digits)
     excess = (x1 - x0) * (y1 - y0) / ((1 + x0 * y1) * (1 + x1 * y0))
     return math.log1p(float(excess)) / LN2

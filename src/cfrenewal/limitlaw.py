@@ -202,11 +202,18 @@ _MAX_CELLS = 1 << 24
 
 def _table_layout(
     N: int, bins: Optional[Sequence[float]], digit_range: int
-) -> tuple[tuple[float, ...], list]:
-    """Checked ratio edges and digit tuples of a table.
+) -> tuple[int, int, tuple[float, ...], list]:
+    """Checked N, digit range, ratio edges and digit tuples of a table.
 
-    A table over _MAX_CELLS cells is refused before its tuples are built.
+    N must be a non-negative integer and digit_range an integer (Python
+    or numpy, not a bool); anything else raises ValueError naming it,
+    and both come back as ints.  A table over _MAX_CELLS cells is
+    refused before its tuples are built.
     """
+    N = integer_arg(N, "N")
+    digit_range = integer_arg(digit_range, "digit_range")
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     edges = _check_edges(bins if bins is not None else default_ratio_edges())
     if N > 0 and digit_range >= 1:
         # a digit range of 2 or more passes the cap long before N = 64,
@@ -218,7 +225,7 @@ def _table_layout(
                 f"N={N} with digit range {digit_range} makes {count} "
                 f"table cells, over the cap of {_MAX_CELLS}"
             )
-    return edges, digit_tuple_list(N, digit_range)
+    return N, digit_range, edges, digit_tuple_list(N, digit_range)
 
 
 _CSV_HEADER = ["digits", "ratio_lo", "ratio_hi", "mass", "error"]
@@ -545,18 +552,15 @@ def empirical_pn(
     comes before N digits exist are counted as rejected; more than
     ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
-    N and digit_range must be integers (not bools), and
-    max_rejected_fraction a number in [0, 1]; these, M, R, the bins and
-    the chunk size are checked before anything is sampled.
+    N and digit_range must be integers (not bools), N non-negative, and
+    max_rejected_fraction a number in [0, 1]; these, M, R, the bins, the
+    chunk size and the seed are checked before anything is sampled.
     """
     import numbers  # a local import leaves the cost of importing the package unchanged
 
     M = sample_count(M)
     _check_threshold(R)
-    N = integer_arg(N, "N")
-    digit_range = integer_arg(digit_range, "digit_range")
-    if N < 0:
-        raise ValueError("N must be non-negative")
+    N, digit_range, edges, tuples = _table_layout(N, bins, digit_range)
     budget = max_rejected_fraction
     if isinstance(budget, bool) or not (
         isinstance(budget, numbers.Real) and 0 <= budget <= 1
@@ -564,7 +568,6 @@ def empirical_pn(
         raise ValueError(
             f"max_rejected_fraction must be a number in [0, 1], got {budget!r}"
         )
-    edges, tuples = _table_layout(N, bins, digit_range)
     edges = np.asarray(edges)
     sizes = chunk_sizes(M, chunk)
     rejected_by_chunk = [0] * len(sizes)
@@ -606,9 +609,10 @@ def theoretical_table(
 
     Every cell carries the rounding bound 1e-14; the overflow
     tuple takes what the enumerated tuples miss, and its bound
-    accumulates theirs.
+    accumulates theirs.  N and digit_range are checked as in
+    empirical_pn.
     """
-    edges, tuples = _table_layout(N, bins, digit_range)
+    N, digit_range, edges, tuples = _table_layout(N, bins, digit_range)
     a = np.asarray(edges)
     b = np.append(a[1:], math.inf)
     plain = _ratio_law(a, b)

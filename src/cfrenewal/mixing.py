@@ -34,25 +34,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf import digit_window
+from .cf import digit_window, rational_digits
 from .errors import OutOfChart, Unreachable, sample_count
 from .flow import FlowPoint, flow_evolve, roof_phi
 from .gauss import (
     NaturalExtPoint,
     _compact,
     _draw_digits,
-    float_window,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
 )
 from .streams import CHUNK, chunk_sizes, run_chunks, substream
 
 
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
-    return NaturalExtPoint(float_window(new_minus), p.fwd)
+    return NaturalExtPoint(rational_digits(new_minus), p.fwd)
 
 
 def _replace_plus(p: NaturalExtPoint, new_plus: float) -> NaturalExtPoint:
-    return NaturalExtPoint(p.bwd, float_window(new_plus))
+    return NaturalExtPoint(p.bwd, rational_digits(new_plus))
 
 
 def stable_leaf_point(base: FlowPoint, alpha_minus_new: float) -> FlowPoint:

@@ -24,7 +24,13 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
     SeedSequence hashes the key ``(seed, index)`` into the generator's
     state, so distinct keys give independent streams with no jump-ahead.
+    Every stream of the package is keyed here, so this is where ``seed``
+    is checked: a non-negative integer (Python or numpy, not a bool),
+    else ValueError naming it.
     """
+    seed = integer_arg(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 

@@ -13,7 +13,9 @@ from cfrenewal.cf import (
     digit_window,
     evaluate_cf,
     expand_digits,
+    rational_digits,
     renewal_index,
+    window_value,
 )
 from cfrenewal.errors import (
     InsufficientDigits,
@@ -196,3 +198,41 @@ def test_expansion_round_trips_through_evaluation(digits):
         full = exc.digits
         assert evaluate_cf(full, exact=True) == x
         assert full[: len(full) - 1] == digits[: len(full) - 1]
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+unit_fractions = st.fractions(min_value=0, max_value=1).filter(lambda x: x < 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(unit_floats, unit_fractions))
+def test_every_digit_of_a_rational_evaluates_back_to_it(x):
+    digits = rational_digits(x)
+    assert all(type(a) is int and a >= 1 for a in digits)
+    n, d = window_value(digits)
+    assert Fraction(n, d) == x
+    assert n / d == float(x)  # correctly rounded, as a float-built window needs
+
+
+def test_zero_has_the_empty_window_and_the_unit_interval_is_enforced():
+    assert rational_digits(0.0) == rational_digits(Fraction(0)) == ()
+    assert window_value(()) == (0, 1)
+    for x in (1.0, Fraction(3, 2), -0.25):
+        with pytest.raises(ValueError, match="x must lie in"):
+            rational_digits(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(unit_floats, unit_fractions), n=st.integers(1, 60))
+def test_expansion_is_a_prefix_or_carries_every_digit(x, n):
+    if x == 0:
+        return
+    full = rational_digits(x)
+    try:
+        digits = expand_digits(x, n)
+    except RationalInput as exc:
+        assert len(full) < n
+        assert exc.digits == full
+    else:
+        assert digits == full[:n]
+        assert len(digits) == n

@@ -134,6 +134,25 @@ def test_theory_cell_mode_rejects_a_table_width(tmp_path, capsys, monkeypatch):
 # -- simulate ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["theory", "simulate"])
+def test_a_negative_window_is_named(command, tmp_path, capsys):
+    argv = [command, "--N", "-1"]
+    if command == "simulate":
+        argv += ["--R", "1e4", "--M", "1000", "--out-dir", str(tmp_path)]
+    else:
+        argv += ["--out", str(tmp_path / "t.json")]
+    assert main(argv) == 1
+    assert "error: N must be non-negative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_names_a_negative_seed(tmp_path, capsys):
+    argv = ["simulate", "--R", "1e4", "--M", "1000", "--seed", "-1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_writes_one_table_per_threshold(tmp_path, capsys):
     code = main(
         [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrenewal import gauss
+from cfrenewal.cf import convergents
 from cfrenewal.flow import (
     FlowPoint,
     birkhoff_sum,
@@ -192,13 +193,13 @@ def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     # stepped points inherit their exact coordinates, so a long flow
     # evaluates each digit window once, not once per roof crossing
     calls = []
-    evaluate = gauss._eval_digits
+    evaluate = gauss.window_value
 
     def counting(digits):
         calls.append(len(digits))
         return evaluate(digits)
 
-    monkeypatch.setattr(gauss, "_eval_digits", counting)
+    monkeypatch.setattr(gauss, "window_value", counting)
     p = sample_mu2(substream(31, 12), depth=800)
     fp = FlowPoint(p, 0.5 * roof_phi(p))
     end = flow_evolve(fp, 260.0)
@@ -207,6 +208,15 @@ def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     assert back.base.alpha_minus == p.alpha_minus
     assert back.base.alpha_plus == p.alpha_plus
     assert len(calls) <= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 30))
+def test_partial_corrections_are_log_q_minus_the_birkhoff_sum(seed, r):
+    # every partial f_r of the series is read off the same walk as S_r
+    p = sample_mu2(substream(seed, 13), depth=64)
+    q = convergents(p.fwd[:r])[-1].q
+    assert math.log(q) - birkhoff_sum(p, r) == correction_f(p, 1e-9).partials[r - 1]
 
 
 def test_renewal_time_is_the_first_sum_past_t():

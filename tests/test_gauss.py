@@ -296,7 +296,7 @@ def test_window_sampler_pair_frequencies():
     rng = substream(23, 3)
     _, digits = sample_mu2_window(rng, depth=2, size=100000)
     freq_11 = np.mean((digits[:, 0] == 1) & (digits[:, 1] == 1))
-    joint = cylinder_measure(Cylinder(plus_digits=(1,), minus_digits=(1,)), "mu2")
+    joint = cylinder_measure(Cylinder(plus_digits=(1,), minus_digits=(1,)))
     indep = digit_frequency(1) ** 2
     assert abs(freq_11 - joint) < 0.005
     assert abs(joint - indep) > 0.01  # the dependence is real
@@ -352,17 +352,21 @@ def test_single_digit_mass_closed_form():
     for k in (1, 2, 3, 7):
         c = Cylinder((k,))
         want = math.log2(1 + 1 / (k * (k + 2)))
-        assert cylinder_measure(c, "mu1") == pytest.approx(want, rel=1e-12)
+        assert cylinder_measure(c) == pytest.approx(want, rel=1e-12)
         assert digit_frequency(k) == pytest.approx(want, rel=1e-12)
 
 
 def test_one_sided_masses_agree_between_both_measures():
     # the invertible extension projects onto the interval system, so a
-    # purely forward window has the same mass under either measure
+    # purely forward window's Gauss mass is the mu2 mass of its interval
+    # times the whole past
     c = Cylinder((2, 1, 3))
-    assert cylinder_measure(c, "mu1") == pytest.approx(
-        cylinder_measure(c, "mu2"), rel=1e-9
+    x0, x1 = interval_for_digits(())
+    y0, y1 = interval_for_digits(c.plus_digits)
+    rectangle = math.log2(
+        float((1 + x1 * y1) * (1 + x0 * y0)) / float((1 + x1 * y0) * (1 + x0 * y1))
     )
+    assert cylinder_measure(c) == pytest.approx(rectangle, rel=1e-9)
 
 
 def test_two_sided_mass_matches_rectangle_closed_form():
@@ -374,10 +378,7 @@ def test_two_sided_mass_matches_rectangle_closed_form():
             float((1 + x1 * y1) * (1 + x0 * y0))
             / float((1 + x1 * y0) * (1 + x0 * y1))
         )
-        assert cylinder_measure(c, "mu2") == pytest.approx(want, rel=1e-9)
-        # a past constraint has no meaning for the Gauss measure on (0, 1)
-        with pytest.raises(ValueError, match="Gauss measure takes no past digits"):
-            cylinder_measure(c, "mu1")
+        assert cylinder_measure(c) == pytest.approx(want, rel=1e-9)
 
 
 def test_density_integrates_to_one():
@@ -402,16 +403,14 @@ def test_thin_two_sided_masses_keep_relative_precision():
             want = float(mpmath.log(
                 (1 + x0 * y0) * (1 + x1 * y1) / ((1 + x0 * y1) * (1 + x1 * y0)), 2
             ))
-        got = cylinder_measure(c, "mu2")
+        got = cylinder_measure(c)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0), digits
 
 
 def test_refinement_additivity_of_interval_masses():
     # children tile the parent; the part left out after K children is the
     # subinterval next to 1/2 of width below 1/(4 K), so its mass is tiny
-    base = cylinder_measure(Cylinder((2,)), "mu1")
-    parts = sum(
-        cylinder_measure(Cylinder((2, k)), "mu1") for k in range(1, 1500)
-    )
+    base = cylinder_measure(Cylinder((2,)))
+    parts = sum(cylinder_measure(Cylinder((2, k))) for k in range(1, 1500))
     assert parts < base
     assert base - parts < 1.0 / (4 * 1500 * math.log(2))

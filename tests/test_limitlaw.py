@@ -321,6 +321,27 @@ def test_window_parameters_must_be_integers(name, value, monkeypatch):
         empirical_pn(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "N, message",
+    [
+        (-1, "N must be non-negative, got -1"),
+        (True, "N must be an integer"),
+        (1.5, "N must be an integer"),
+    ],
+)
+def test_theoretical_table_refuses_a_window_that_is_not_a_count(N, message):
+    # unchecked, N=-1 raised itertools' "repeat argument cannot be
+    # negative" and N=True was taken as 1
+    with pytest.raises(ValueError, match=message):
+        theoretical_table(N=N)
+
+
+def test_the_sampler_refuses_a_negative_window(monkeypatch):
+    _no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="N must be non-negative, got -1"):
+        empirical_pn(R=1e4, M=10, N=-1)
+
+
 def test_numpy_integer_window_parameters_are_accepted():
     t = empirical_pn(R=1e4, M=2000, N=np.int64(1), digit_range=np.uint8(3), seed=3)
     want = empirical_pn(R=1e4, M=2000, N=1, digit_range=3, seed=3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfrenewal.limitlaw import empirical_pn
+from cfrenewal.mixing import BoxSpec, correlation_estimate
 from cfrenewal.streams import chunk_sizes, run_chunks, substream
 
 
@@ -27,6 +28,29 @@ def test_the_first_doubles_of_the_zero_stream_are_pinned():
         0.39642143170337907,
         0.10163677903901869,
     ]
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be non-negative, got -1"),
+    ],
+)
+def test_every_stream_refuses_a_bad_seed(seed, message):
+    # unchecked, both engines took seed=True and returned it in their
+    # result, 1.5 raised numpy's bare TypeError and -1 numpy's own message
+    with pytest.raises(ValueError, match=message):
+        substream(seed, 0)
+    with pytest.raises(ValueError, match=message):
+        empirical_pn(R=1e4, M=1000, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        correlation_estimate(BoxSpec((1,)), BoxSpec((2,)), 1.0, M=1000, seed=seed)
+
+
+def test_a_numpy_integer_seed_keys_the_same_stream():
+    assert substream(np.int64(3), 5).random() == substream(3, 5).random()
 
 
 @pytest.mark.parametrize("total, chunk", [(0, 4), (3, 4), (8, 4), (10, 4), (10, 1), (7, 100)])
