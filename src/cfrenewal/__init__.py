@@ -50,7 +50,6 @@ from .gauss import (
     digit_frequency,
     gauss_map,
     mu1_cdf,
-    mu2_density,
     sample_mu1,
     sample_mu2,
     sample_mu2_window,
@@ -73,7 +72,6 @@ from .mixing import (
     flow_pair_distance,
     holonomy_invariant,
     stable_leaf_point,
-    unstable_leaf_point,
 )
 from .streams import CHUNK, substream
 
@@ -122,7 +120,6 @@ __all__ = [
     "holonomy_invariant",
     "ks_distance",
     "mu1_cdf",
-    "mu2_density",
     "normalization_constant",
     "renewal_index",
     "renewal_time",
@@ -135,5 +132,4 @@ __all__ = [
     "substream",
     "theoretical_pn",
     "theoretical_table",
-    "unstable_leaf_point",
 ]

@@ -42,10 +42,6 @@ class Convergent:
         if self.q < 1:
             raise ValueError("q must be >= 1")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class RenewalResult:

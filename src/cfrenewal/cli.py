@@ -15,7 +15,8 @@ embeds the full run configuration; a CSV table file holds only the
 table's own metadata lines (sample count, R, rejected count, seed,
 edges).  Exit codes: 0 success, 2 bad numeric input
 (rational or precision), 3 spent sampling budget, 4 incompatible tables,
-1 other errors.  CFRENEWAL_SEED sets the default seed.
+1 other errors.  CFRENEWAL_SEED sets the default --seed of simulate, flow
+and mixing; no other command reads it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,18 @@ from .streams import substream
 SCHEMA_VERSION = 1
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CFRENEWAL_SEED", "0"))
+def _seed(args) -> int:
+    """--seed if given, else CFRENEWAL_SEED, else 0; ValueError on a bad variable."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("CFRENEWAL_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"CFRENEWAL_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -77,9 +88,9 @@ class RunConfig:
 
 
 def _sample_count(text: str) -> int:
-    """The --M flag as a count: a finite number of at least 1, like 1e6."""
+    """The --M flag as a count: a finite whole number of at least 1, like 1e6."""
     m = float(text)
-    if not (math.isfinite(m) and m >= 1):
+    if not (math.isfinite(m) and m >= 1 and m.is_integer()):
         raise ValueError(f"--M must be a finite count of at least 1, got {text}")
     return int(m)
 
@@ -150,7 +161,7 @@ def cmd_simulate(args) -> int:
         _check_threshold(r)
     cfg = RunConfig(
         command="simulate",
-        seed=args.seed,
+        seed=_seed(args),
         samples=_sample_count(args.M),
         R_list=r_list,
         N=args.N,
@@ -240,7 +251,7 @@ def cmd_flow(args) -> int:
         raise ValueError(f"--t must be finite, got {args.t!r}")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    rng = substream(args.seed, 0)
+    rng = substream(_seed(args), 0)
     depth = max(64, int(3 * args.t) + 16)
     point = sample_mu2(rng, depth=depth)
     fp = FlowPoint(point, 0.0)
@@ -274,9 +285,10 @@ def cmd_mixing(args) -> int:
     A = BoxSpec(plus_digits=(args.a_digit,), y_lo=0.0, y_hi=args.a_ymax)
     B = BoxSpec(plus_digits=(args.b_digit,), y_lo=0.0, y_hi=args.b_ymax)
     M = _sample_count(args.M)
+    seed = _seed(args)
     rows = ["t,estimate,stderr,mass_A,mass_B"]
     for t in ts:
-        est = correlation_estimate(A, B, t, M, seed=args.seed)
+        est = correlation_estimate(A, B, t, M, seed=seed)
         rows.append(
             f"{t!r},{est.value!r},{est.stderr!r},{est.mass_A!r},{est.mass_B!r}"
         )
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--R", default="1e3,1e6,1e9", help="comma list of thresholds")
     q.add_argument("--M", default="1e6", help="samples per threshold")
     q.add_argument("--N", type=int, default=0, help="trailing digit window")
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--digit-range", dest="digit_range", type=int, default=8)
     q.add_argument("--bin-delta", dest="bin_delta", type=float, default=0.05)
     q.add_argument("--bin-count", dest="bin_count", type=int, default=120)
@@ -340,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_compare)
 
     q = sub.add_parser("flow", help="trajectory trace of the suspension flow")
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--t", type=float, default=10.0)
     q.add_argument("--steps", type=int, default=20)
     q.add_argument("--out", default=None)
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("mixing", help="correlation-decay curve")
     q.add_argument("--t", default="1,5,10,20")
     q.add_argument("--M", default="1e6")
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--a-digit", dest="a_digit", type=int, default=1)
     q.add_argument("--a-ymax", dest="a_ymax", type=float, default=0.45)
     q.add_argument("--b-digit", dest="b_digit", type=int, default=2)

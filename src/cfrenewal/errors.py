@@ -36,7 +36,7 @@ class InvalidDigits(CFRenewalError, ValueError):
 
 
 class InvalidBins(CFRenewalError):
-    """A table's bins are malformed: bad ratio edges, or a broken CSV layout."""
+    """A table is malformed: bad ratio edges or metadata, or a broken CSV layout."""
 
 
 class InvalidSampleCount(CFRenewalError):

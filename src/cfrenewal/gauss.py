@@ -96,12 +96,6 @@ class NaturalExtPoint:
         ones = (1,) * depth
         return cls(ones, ones)
 
-    @classmethod
-    def silver(cls, depth: int = 96) -> "NaturalExtPoint":
-        """The all-twos fixed point (sqrt(2)-1 on both sides), cut at ``depth``."""
-        twos = (2,) * depth
-        return cls(twos, twos)
-
     # -- coordinate views ----------------------------------------------
 
     @cached_property
@@ -218,14 +212,6 @@ def digit_frequency(k) -> float:
     """Stationary probability of digit value k: log2(1 + 1/(k(k+2)))."""
     k = np.asarray(k, dtype=float)
     out = np.log2(1.0 + 1.0 / (k * (k + 2.0)))
-    return float(out) if out.ndim == 0 else out
-
-
-def digit_given_state_pmf(k, y):
-    """P(next digit = k) given the backward coordinate y."""
-    k = np.asarray(k, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = (1.0 + y) / ((k + y) * (k + y + 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -381,11 +367,6 @@ def interval_for_digits(digits: Sequence[int]) -> tuple[Fraction, Fraction]:
 def _mu1_interval_mass(lo: Fraction, hi: Fraction) -> float:
     # ln((1+hi)/(1+lo)) without cancellation for very thin intervals
     return math.log1p(float((hi - lo) / (1 + lo))) / LN2
-
-
-def mu2_density(am, ap):
-    """Invariant density of the extension: 1/(ln 2 (1 + am*ap)**2)."""
-    return 1.0 / (LN2 * (1.0 + am * ap) ** 2)
 
 
 def cylinder_measure(c: Cylinder) -> float:

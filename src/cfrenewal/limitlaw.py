@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -231,6 +232,11 @@ def _table_layout(
 _CSV_HEADER = ["digits", "ratio_lo", "ratio_hi", "mass", "error"]
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Binned joint law of (overshoot ratio, trailing digit tuple).
@@ -243,7 +249,9 @@ class DistributionTable:
     happened too early to have the requested trailing window); the
     masses of rejected samples are excluded, so total mass plus the
     rejected fraction is 1.  Theoretical tables have sample_count 0 and
-    per-cell error bars.
+    per-cell error bars.  sample_count and rejected must be non-negative
+    integers, seed None or an integer, and R_used None or a real number;
+    else InvalidBins names the field.
     """
 
     ratio_bin_edges: tuple[float, ...]
@@ -273,11 +281,15 @@ class DistributionTable:
             if err.shape != mass.shape:
                 raise InvalidBins("error bar shape mismatch")
             object.__setattr__(self, "error", err)
-
-    @property
-    def n_ratio_bins(self) -> int:
-        """Number of ratio columns, including the trailing overflow column."""
-        return len(self.ratio_bin_edges)
+        for key in ("sample_count", "rejected"):
+            count = getattr(self, key)
+            if not (_is_integer(count) and count >= 0):
+                raise InvalidBins(f"{key} must be a non-negative integer, got {count!r}")
+        if not (self.seed is None or _is_integer(self.seed)):
+            raise InvalidBins(f"seed must be None or an integer, got {self.seed!r}")
+        R = self.R_used
+        if R is not None and (isinstance(R, bool) or not isinstance(R, numbers.Real)):
+            raise InvalidBins(f"R_used must be None or a real number, got {R!r}")
 
     def ratio_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
@@ -362,15 +374,15 @@ class DistributionTable:
         """Inverse of to_csv, in one pass; InvalidBins names a malformed part."""
         meta = {}
         rows = []
-        numbers = []
+        line_numbers = []
         for number, line in enumerate(text.splitlines(), 1):
             if line.startswith("# "):
                 key, _, val = line[2:].partition("=")
                 meta[key] = val
             elif line:
                 rows.append(line)
-                numbers.append(number)
-        reader = zip(numbers, csv.reader(rows))
+                line_numbers.append(number)
+        reader = zip(line_numbers, csv.reader(rows))
         header = next(reader, (None, None))[1]
         if header != _CSV_HEADER:
             raise InvalidBins(
@@ -380,7 +392,18 @@ class DistributionTable:
         missing = sorted(required - meta.keys())
         if missing:
             raise InvalidBins(f"CSV metadata lacks {', '.join(missing)}")
-        edges = tuple(float(e) for e in meta["edges"].split(","))
+
+        def field(key, parse):
+            text = meta[key]
+            try:
+                return parse(text)
+            except ValueError:
+                raise InvalidBins(f"CSV metadata {key} is malformed: {text!r}") from None
+
+        def optional(parse):
+            return lambda text: None if text == "None" else parse(text)
+
+        edges = field("edges", lambda text: tuple(map(float, text.split(","))))
         # label -> (masses, errors), in order of first appearance
         cells: dict[str, tuple[list, list]] = {}
         for number, fields in reader:
@@ -413,18 +436,14 @@ class DistributionTable:
         error = None
         if meta.get("has_error") == "True":
             error = np.array([errs for _, errs in cells.values()], dtype=float)
-
-        def parse(v):
-            return None if v == "None" else float(v)
-
         return cls(
             ratio_bin_edges=edges,
             digit_tuples=tuples,
             mass=mass,
-            sample_count=int(meta["sample_count"]),
-            R_used=parse(meta["R_used"]),
-            rejected=int(meta["rejected"]),
-            seed=None if meta["seed"] == "None" else int(meta["seed"]),
+            sample_count=field("sample_count", int),
+            R_used=field("R_used", optional(float)),
+            rejected=field("rejected", int),
+            seed=field("seed", optional(int)),
             error=error,
         )
 
@@ -537,27 +556,24 @@ def empirical_pn(
     bins: Optional[Sequence[float]] = None,
     seed: int = 0,
     digit_range: int = 8,
-    chunk: int = CHUNK,
     max_rejected_fraction: float = 1e-3,
 ) -> DistributionTable:
     """Empirical joint law of (overshoot ratio, trailing digits) at level R.
 
     Samples are drawn by the exact conditional digit chain, which has
     the same law as expanding a Gauss-measure random number but works at
-    any depth in doubles.  The run is chunked over deterministic
-    substreams of ``seed``, and the chunks run at the same time on the
-    CPUs the process may use.  Rejections merge by chunk index and bin
-    counts are integers, so results are bit-identical for a given seed
-    and chunk layout, whatever the CPU count.  Samples whose crossing
-    comes before N digits exist are counted as rejected; more than
-    ``max_rejected_fraction`` of them aborts the run.  R must lie in
+    any depth in doubles.  The run is cut into chunks of ``CHUNK``
+    samples, each on its own substream of ``seed``, and the chunks run
+    at the same time on the CPUs the process may use.  Rejections merge
+    by chunk index and bin counts are integers, so results are
+    bit-identical for a given seed, whatever the CPU count.  Samples
+    whose crossing comes before N digits exist are counted as rejected;
+    more than ``max_rejected_fraction`` of them aborts the run.  R must lie in
     [10, 2**53), where float denominators decide the crossing exactly.
     N and digit_range must be integers (not bools), N non-negative, and
-    max_rejected_fraction a number in [0, 1]; these, M, R, the bins, the
-    chunk size and the seed are checked before anything is sampled.
+    max_rejected_fraction a number in [0, 1]; these, M, R, the bins and
+    the seed are checked before anything is sampled.
     """
-    import numbers  # a local import leaves the cost of importing the package unchanged
-
     M = sample_count(M)
     _check_threshold(R)
     N, digit_range, edges, tuples = _table_layout(N, bins, digit_range)
@@ -569,7 +585,7 @@ def empirical_pn(
             f"max_rejected_fraction must be a number in [0, 1], got {budget!r}"
         )
     edges = np.asarray(edges)
-    sizes = chunk_sizes(M, chunk)
+    sizes = chunk_sizes(M, CHUNK)
     rejected_by_chunk = [0] * len(sizes)
 
     def drain(take):

@@ -72,17 +72,6 @@ def stable_leaf_point(base: FlowPoint, alpha_minus_new: float) -> FlowPoint:
         raise OutOfChart(str(exc)) from exc
 
 
-def unstable_leaf_point(base: FlowPoint, alpha_plus_new: float) -> FlowPoint:
-    """Point of the unstable leaf through base: same backward coordinate and height."""
-    if not 0.0 < alpha_plus_new < 1.0:
-        raise ValueError("alpha_plus_new must lie in (0, 1)")
-    new_base = _replace_plus(base.base, alpha_plus_new)
-    try:
-        return FlowPoint(new_base, base.height)
-    except ValueError as exc:
-        raise OutOfChart(str(exc)) from exc
-
-
 def holonomy_invariant(fp: FlowPoint) -> float:
     """ap * exp(y) / (1 + am * ap): stable-leaf invariant, scales by exp(dy)."""
     am = fp.base.alpha_minus

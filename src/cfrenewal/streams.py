@@ -2,8 +2,9 @@
 
 Chunk ``index`` of a run draws from its own SFC64 generator, seeded by
 ``SeedSequence((seed, index))``, so any chunk of work can be recomputed
-independently and merge order is fixed by the chunk index.  Results are
-therefore bit-identical for a given seed and chunk layout.  This is the
+independently and merge order is fixed by the chunk index.  Each caller
+fixes its own chunk size, so its results are bit-identical for a given
+seed.  This is the
 only module that builds a bit generator.  ``run_chunks`` runs the chunks
 of one call at the same time, on the CPUs the process may use; a caller
 that merges by chunk index, or sums integer counts, gets the same bits
@@ -34,17 +35,8 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
-    """Fixed partition of a workload into chunks of at most ``chunk`` items.
-
-    ``chunk`` must be an integer of at least 1 (Python or numpy, not a
-    bool); anything else raises ValueError.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    chunk = integer_arg(chunk, "chunk")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
+def chunk_sizes(total: int, chunk: int) -> list[int]:
+    """Fixed partition of a workload into chunks of at most ``chunk`` items."""
     full, rest = divmod(total, chunk)
     return [chunk] * full + ([rest] if rest else [])
 

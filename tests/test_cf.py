@@ -169,7 +169,7 @@ def test_denominators_grow_at_golden_rate_or_faster(digits):
 def test_convergents_approximate_to_inverse_square(digits, tail):
     x = evaluate_cf(digits + tail, exact=True)
     for c in convergents(digits):
-        assert abs(x - c.value) <= Fraction(1, c.q**2)
+        assert abs(x - Fraction(c.p, c.q)) <= Fraction(1, c.q**2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cfrenewal.cli import main
+from cfrenewal.cli import _sample_count, main
 from cfrenewal.limitlaw import DistributionTable, theoretical_pn, theoretical_table
 
 # fractional part of pi, to 14 places; digits 7 15 1 292 1 ...
@@ -292,6 +292,41 @@ def test_seed_environment_default(tmp_path, capsys, monkeypatch):
     assert t1["table"] == t2["table"]
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--R", "1e4", "--M", "3000", "--out-dir", "out"],
+        ["flow", "--t", "1", "--steps", "1", "--out", "out"],
+        ["mixing", "--t", "1", "--M", "1000", "--out", "out"],
+    ],
+    ids=["simulate", "flow", "mixing"],
+)
+def test_a_bad_seed_variable_stops_a_seeded_command_before_it_writes(
+    argv, value, tmp_path, capsys, monkeypatch
+):
+    # unchecked, int() raised a traceback while the parser was built
+    monkeypatch.setenv("CFRENEWAL_SEED", value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: CFRENEWAL_SEED must be a non-negative integer, got {value!r}\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_seed_variable_is_not_read_where_no_seed_is_used(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CFRENEWAL_SEED", "abc")
+    assert main(["expand", "0.3", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("digits: 3 3")
+    # an explicit --seed wins over the variable, which is then not read
+    out = tmp_path / "traj.csv"
+    assert main(["flow", "--seed", "9", "--t", "1", "--steps", "1", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_simulate_csv_format(tmp_path, capsys):
     code = main(
         [
@@ -394,8 +429,10 @@ def test_compare_writes_overlay(tmp_path, capsys):
         (lambda text: "".join(text.splitlines(keepends=True)[:-1]),
          "digit tuple other has 2 rows, expected 3"),
         (lambda text: text.replace("# edges=", "# egdes="), "CSV metadata lacks edges"),
+        (lambda text: text.replace("# sample_count=0", "# sample_count=x"),
+         "CSV metadata sample_count is malformed: 'x'"),
     ],
-    ids=["wrong_header", "missing_row", "missing_metadata"],
+    ids=["wrong_header", "missing_row", "missing_metadata", "bad_metadata"],
 )
 def test_compare_reports_a_malformed_csv_table(tmp_path, capsys, edit, message):
     good = theoretical_table(N=1, bins=(1.0, 1.5, 2.0), digit_range=2).to_csv()
@@ -420,6 +457,25 @@ def test_compare_reports_a_json_table_without_digit_tuples(tmp_path, capsys):
     bad.write_text(json.dumps({"table": {"ratio_bin_edges": [1.0, 2.0]}}))
     assert main(["compare", str(bad), str(bad)]) == 1
     assert "error: JSON table lacks digit_tuples, mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sample_count", "many", "sample_count must be a non-negative integer, got 'many'"),
+        ("seed", "x", "seed must be None or an integer, got 'x'"),
+        ("R_used", "y", "R_used must be None or a real number, got 'y'"),
+    ],
+)
+def test_compare_reports_json_table_metadata_of_the_wrong_kind(
+    key, value, message, tmp_path, capsys
+):
+    doc = {"table": theoretical_table(N=0, bins=(1.0, 2.0)).to_json_dict()}
+    doc["table"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["compare", str(bad), str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- flow and mixing ---------------------------------------------------
@@ -505,11 +561,17 @@ def test_mixing_rejects_an_empty_height_window(ymax, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "mixing"])
-@pytest.mark.parametrize("M", ["inf", "nan", "-5"])
+@pytest.mark.parametrize("M", ["inf", "nan", "-5", "999.9"])
 def test_sample_count_must_be_finite_and_positive(command, M, tmp_path, capsys):
+    # unchecked, 999.9 was truncated to 999 samples
     argv = [command, "--M", M]
     if command == "simulate":
         argv += ["--out-dir", str(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: --M must be a finite count of at least 1, got {M}" in err
+
+
+def test_sample_count_takes_a_whole_number_in_any_notation():
+    counts = [_sample_count(text) for text in ("1e6", "3000", "2.5e3", "7.0")]
+    assert counts == [1_000_000, 3000, 2500, 7]

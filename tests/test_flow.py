@@ -29,7 +29,7 @@ def test_roof_at_the_fixed_points():
     assert roof_phi(NaturalExtPoint.golden()) == pytest.approx(
         math.log(1 + GOLDEN), abs=1e-15
     )
-    assert roof_phi(NaturalExtPoint.silver()) == pytest.approx(
+    assert roof_phi(NaturalExtPoint((2,) * 96, (2,) * 96)) == pytest.approx(
         math.log(1 + math.sqrt(2)), abs=1e-15
     )
 

@@ -22,11 +22,9 @@ from cfrenewal.gauss import (
     NaturalExtPoint,
     cylinder_measure,
     digit_frequency,
-    digit_given_state_pmf,
     gauss_map,
     interval_for_digits,
     mu1_cdf,
-    mu2_density,
     sample_mu1,
     sample_mu2,
     sample_mu2_window,
@@ -75,7 +73,7 @@ def test_golden_point_is_fixed_by_the_shift():
 
 
 def test_silver_point_is_fixed_by_the_shift():
-    p = NaturalExtPoint.silver()
+    p = NaturalExtPoint((2,) * 96, (2,) * 96)
     s = p.step()
     root = math.sqrt(2) - 1
     assert p.digit(1) == 2
@@ -179,7 +177,7 @@ _walk_starts = st.one_of(
         st.floats(min_value=1e-3, max_value=0.999),
         st.floats(min_value=1e-3, max_value=0.999),
     ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap)),
-    st.sampled_from([NaturalExtPoint.golden(depth=4), NaturalExtPoint.silver(depth=4)]),
+    st.sampled_from([NaturalExtPoint.golden(depth=4), NaturalExtPoint((2,) * 4, (2,) * 4)]),
 )
 
 
@@ -227,12 +225,6 @@ def test_interval_sampler_matches_its_cdf():
         np.abs(mu1_cdf(xs) - np.arange(1, xs.size + 1) / xs.size)
     )
     assert ks < 1.5 / math.sqrt(xs.size)
-
-
-def test_conditional_digit_pmf_sums_to_one():
-    for y in (0.0, 0.3, 0.99):
-        total = sum(digit_given_state_pmf(k, y) for k in range(1, 5000))
-        assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_invariance_of_the_sampled_law_under_the_map():
@@ -379,14 +371,6 @@ def test_two_sided_mass_matches_rectangle_closed_form():
             / float((1 + x1 * y0) * (1 + x0 * y1))
         )
         assert cylinder_measure(c) == pytest.approx(want, rel=1e-9)
-
-
-def test_density_integrates_to_one():
-    from cfrenewal.quadrature import mapped_nodes
-
-    x, w = mapped_nodes(0.0, 1.0, 60)
-    total = w @ mu2_density(x[:, None], x[None, :]) @ w
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_thin_two_sided_masses_keep_relative_precision():

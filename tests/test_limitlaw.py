@@ -150,13 +150,15 @@ def test_sampler_reproducibility():
     assert not np.array_equal(t1.mass, t3.mass)
 
 
-def test_chunk_layout_is_part_of_the_stream_contract():
-    # the default layout is explicit, so callers can reproduce it
+def test_chunk_layout_is_part_of_the_stream_contract(monkeypatch):
+    # the layout is limitlaw.CHUNK, read at call time
     t1 = empirical_pn(R=1e5, M=30000, seed=11)
-    t2 = empirical_pn(R=1e5, M=30000, seed=11, chunk=1 << 16)
+    monkeypatch.setattr(limitlaw, "CHUNK", 1 << 16)
+    t2 = empirical_pn(R=1e5, M=30000, seed=11)
     assert np.array_equal(t1.mass, t2.mass)
     # a different layout draws a different (equally valid) sample
-    t3 = empirical_pn(R=1e5, M=30000, seed=11, chunk=1 << 12)
+    monkeypatch.setattr(limitlaw, "CHUNK", 1 << 12)
+    t3 = empirical_pn(R=1e5, M=30000, seed=11)
     assert not np.array_equal(t1.mass, t3.mass)
     assert t3.total_mass() + t3.rejected / t3.sample_count == pytest.approx(1.0)
 
@@ -168,39 +170,46 @@ def test_trailing_window_sampler_is_pinned_bit_for_bit():
     assert digest == "f6b721e2b99a43ef6c79da34ea102cdc3ca4817b81a50ecc6b8d88977dd3d167"
 
 
-# pins of the SFC64 streams, taken at one and at two CPUs, which agreed
+# pins of the SFC64 streams, taken at one and at two CPUs, which agreed;
+# each holds the inputs, the chunk size limitlaw.CHUNK is patched to
+# (None keeps the default), the mass digest and the rejected count
 MULTI_CHUNK_PINS = [
     (
         dict(R=1e6, M=300_000, N=2, seed=123),
+        None,
         "f49fdfa9560212d84126a52443453bf822515c536731063b489c52e39ed2a0ff",
         1,
     ),
     (
-        dict(R=10, M=20_000, N=3, seed=123, chunk=1 << 12, max_rejected_fraction=1.0),
+        dict(R=10, M=20_000, N=3, seed=123, max_rejected_fraction=1.0),
+        1 << 12,
         "d9f5a6671b093d8fd30ff982aaf7ff3964feddbfef8bf1671fbab75c63cc74fb",
         7323,
     ),
     (
-        dict(R=1e4, M=50_000, N=1, digit_range=300, seed=5, chunk=1 << 13),
+        dict(R=1e4, M=50_000, N=1, digit_range=300, seed=5),
+        1 << 13,
         "ab40998244e6d98473a92460eae24c1b197790aa67effe73e95e90bdf81ced50",
         0,
     ),
     (
-        dict(R=1e9, M=40_000, N=0, seed=9, chunk=1 << 12),
+        dict(R=1e9, M=40_000, N=0, seed=9),
+        1 << 12,
         "5d6a83012d6ca5539346c64cebe6b0496f4f39ab63c0c3e6e29616e4ad5e9e8f",
         0,
     ),
     # a threshold at the top of the exact range, and two rotating uint16 rows
     (
         dict(R=2**52, M=100_000, N=2, seed=17),
+        None,
         "c0abe28c59aecbc975df7a93a77e14df4201839da79a733acbf9f02596a114e7",
         0,
     ),
     (
         dict(
-            R=1e4, M=40_000, N=2, digit_range=300, bins=(1.0, 1.5, 2.0),
-            seed=8, chunk=1 << 13,
+            R=1e4, M=40_000, N=2, digit_range=300, bins=(1.0, 1.5, 2.0), seed=8
         ),
+        1 << 13,
         "9e896b9e7642f7b4a0abf7cccbffd03b1a8417bc3b254ea1464978c2b45c64b4",
         6,
     ),
@@ -218,14 +227,16 @@ def _pin_id(kwargs):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
-    "kwargs, digest, rejected",
+    "kwargs, chunk, digest, rejected",
     MULTI_CHUNK_PINS,
-    ids=[_pin_id(kwargs) for kwargs, _, _ in MULTI_CHUNK_PINS],
+    ids=[_pin_id(kwargs) for kwargs, *_ in MULTI_CHUNK_PINS],
 )
 def test_multi_chunk_tables_are_pinned_whatever_the_cpu_count(
-    kwargs, digest, rejected, cpus, monkeypatch
+    kwargs, chunk, digest, rejected, cpus, monkeypatch
 ):
     _force_cpus(monkeypatch, cpus)
+    if chunk is not None:
+        monkeypatch.setattr(limitlaw, "CHUNK", chunk)
     t = empirical_pn(**kwargs)
     assert hashlib.sha256(t.mass.tobytes()).hexdigest() == digest
     assert json.loads(json.dumps(t.to_json_dict()))["rejected"] == rejected
@@ -238,7 +249,8 @@ def test_one_cpu_runs_inline(monkeypatch):
         raise AssertionError("a thread was started with one CPU")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    t = empirical_pn(R=1e4, M=3000, seed=1, chunk=1000)
+    monkeypatch.setattr(limitlaw, "CHUNK", 1000)
+    t = empirical_pn(R=1e4, M=3000, seed=1)
     assert t.sample_count == 3000
 
 
@@ -247,15 +259,16 @@ def test_a_failing_chunk_is_raised_and_its_threads_are_joined(monkeypatch):
     real_chunk = limitlaw._renewal_chunk
 
     def fail_on_chunk_one(rng, m, *args):
-        # with M = 4096 + 100 and chunk = 4096, only chunk 1 has 100 lanes
+        # with M = 4096 + 100 and CHUNK = 4096, only chunk 1 has 100 lanes
         if m == 100:
             raise RuntimeError("chunk 1 failed")
         return real_chunk(rng, m, *args)
 
     monkeypatch.setattr(limitlaw, "_renewal_chunk", fail_on_chunk_one)
+    monkeypatch.setattr(limitlaw, "CHUNK", 4096)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
-        empirical_pn(R=1e4, M=4096 + 100, seed=1, chunk=4096)
+        empirical_pn(R=1e4, M=4096 + 100, seed=1)
     for thread in threading.enumerate():
         if thread is not threading.current_thread():
             thread.join(timeout=5.0)
@@ -264,7 +277,8 @@ def test_a_failing_chunk_is_raised_and_its_threads_are_joined(monkeypatch):
 
 def test_more_threads_than_cores_lose_no_count(monkeypatch):
     # a lost update in the merge of counts or rejections would change the bytes
-    kwargs = dict(R=10.0, M=20_000, N=2, seed=4, chunk=1 << 8, max_rejected_fraction=1.0)
+    monkeypatch.setattr(limitlaw, "CHUNK", 1 << 8)
+    kwargs = dict(R=10.0, M=20_000, N=2, seed=4, max_rejected_fraction=1.0)
     _force_cpus(monkeypatch, 1)
     serial = empirical_pn(**kwargs)
     _force_cpus(monkeypatch, 8)
@@ -505,6 +519,58 @@ def test_csv_round_trip_is_lossless():
         assert back.to_csv() == text
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("# edges=1.0,1.5", "# edges=1.0,abc"),
+        ("# sample_count=0", "# sample_count=x"),
+        ("# seed=None", "# seed=1.5"),
+        ("# R_used=None", "# R_used=y"),
+        ("# rejected=0", "# rejected=2.0"),
+    ],
+)
+def test_csv_metadata_that_does_not_parse_is_named(line, bad):
+    # unchecked, each raised a bare ValueError from float() or int()
+    text = _small_csv()
+    assert line in text
+    key, value = bad[2:].split("=")
+    with pytest.raises(InvalidBins, match=f"CSV metadata {key} is malformed: '{value}'"):
+        DistributionTable.from_csv(text.replace(line, bad))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sample_count", "many", "sample_count must be a non-negative integer"),
+        ("sample_count", 2.5, "sample_count must be a non-negative integer"),
+        ("sample_count", -1, "sample_count must be a non-negative integer"),
+        ("rejected", True, "rejected must be a non-negative integer"),
+        ("rejected", None, "rejected must be a non-negative integer"),
+        ("seed", "x", "seed must be None or an integer"),
+        ("seed", 3.0, "seed must be None or an integer"),
+        ("R_used", "y", "R_used must be None or a real number"),
+        ("R_used", False, "R_used must be None or a real number"),
+    ],
+)
+def test_table_metadata_of_the_wrong_kind_is_named(key, value, message):
+    # unchecked, from_json_dict returned a table holding these values
+    d = theoretical_table(N=0, bins=(1.0, 2.0)).to_json_dict()
+    d[key] = value
+    with pytest.raises(InvalidBins, match=message):
+        DistributionTable.from_json_dict(d)
+
+
+def test_table_metadata_accepts_numpy_numbers():
+    # empirical_pn takes a numpy seed, so its table must too
+    t = DistributionTable(
+        (1.0, 2.0), [()], np.zeros((1, 2)),
+        sample_count=np.int64(5), R_used=np.float64(1e4), rejected=np.int32(0),
+        seed=np.uint8(7),
+    )
+    assert (t.sample_count, t.R_used, t.rejected, t.seed) == (5, 1e4, 0, 7)
+    assert empirical_pn(R=1e4, M=10, seed=np.int64(3)).seed == 3
+
+
 def _csv_writer_reference(t):
     """to_csv as one csv.writer row per cell, the layout the file format fixes."""
     buf = io.StringIO()
@@ -517,7 +583,7 @@ def _csv_writer_reference(t):
     edges = t.ratio_bin_edges
     for i, tup in enumerate(t.digit_tuples):
         label = "other" if tup is None else "-".join(map(str, tup)) or "()"
-        for j in range(t.n_ratio_bins):
+        for j in range(len(t.ratio_bin_edges)):
             hi = edges[j + 1] if j + 1 < len(edges) else math.inf
             err = "" if t.error is None else repr(float(t.error[i, j]))
             writer.writerow(

@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 from cfrenewal import mixing
-from cfrenewal.cf import RenewalResult, convergents, evaluate_cf, renewal_index
+from cfrenewal.cf import (
+    RenewalResult,
+    convergents,
+    evaluate_cf,
+    rational_digits,
+    renewal_index,
+)
 from cfrenewal.errors import InvalidDigits, InvalidSampleCount, OutOfChart, Unreachable
-from cfrenewal.flow import FlowPoint, roof_phi
+from cfrenewal.flow import FlowPoint
 from cfrenewal.gauss import Cylinder, NaturalExtPoint
 from cfrenewal.limitlaw import theoretical_pn
 from cfrenewal.mixing import (
@@ -23,7 +29,6 @@ from cfrenewal.mixing import (
     flow_pair_distance,
     holonomy_invariant,
     stable_leaf_point,
-    unstable_leaf_point,
 )
 
 
@@ -58,21 +63,11 @@ def test_stable_move_preserves_holonomy():
         assert holonomy_invariant(moved) == pytest.approx(h0, rel=1e-14)
 
 
-def test_unstable_move_keeps_backward_coordinate_and_height():
-    fp = _fp(0.37, 0.52, 0.2)
-    moved = unstable_leaf_point(fp, 0.25)
-    assert moved.height == fp.height
-    assert moved.base.alpha_minus == fp.base.alpha_minus
-    assert moved.base.alpha_plus == 0.25
-
-
 def test_leaf_moves_validate_coordinates():
     fp = _fp(0.37, 0.52, 0.2)
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             stable_leaf_point(fp, bad)
-        with pytest.raises(ValueError):
-            unstable_leaf_point(fp, bad)
 
 
 def test_stable_move_out_of_fiber():
@@ -80,15 +75,6 @@ def test_stable_move_out_of_fiber():
     fp = FlowPoint(NaturalExtPoint.golden(), 0.0)
     with pytest.raises(OutOfChart):
         stable_leaf_point(fp, 0.01)
-
-
-def test_unstable_move_out_of_fiber():
-    # moving alpha_plus past 1/2 drops the first digit to 1, so the
-    # roof falls below the held height
-    fp = _fp(0.6, 0.4, 0.94)
-    assert fp.height < roof_phi(fp.base)
-    with pytest.raises(OutOfChart):
-        unstable_leaf_point(fp, 0.6)
 
 
 # -- chain connections -------------------------------------------------
@@ -167,7 +153,9 @@ def test_stable_pairs_contract_forward():
 def test_unstable_pairs_expand_forward():
     base = NaturalExtPoint.golden(depth=96)
     p1 = FlowPoint(base, 0.2)
-    p2 = unstable_leaf_point(p1, p1.base.alpha_plus + 1e-6)
+    # a point of p1's unstable leaf: the same past and height, a moved future
+    ap = p1.base.alpha_plus + 1e-6
+    p2 = FlowPoint(NaturalExtPoint(p1.base.bwd, rational_digits(ap)), p1.height)
     d0 = flow_pair_distance(p1, p2, 0.0)
     d4 = flow_pair_distance(p1, p2, 4.0)
     assert d0 < 2e-6

@@ -61,22 +61,6 @@ def test_chunk_sizes_partition_the_total(total, chunk):
     assert all(size == chunk for size in sizes[:-1])
 
 
-def test_chunk_sizes_accept_a_numpy_integer():
-    assert chunk_sizes(10, np.int64(4)) == [4, 4, 2]
-
-
-@pytest.mark.parametrize("chunk", [0, -5, 2.5, 4.0, True, np.True_, "4", None])
-def test_chunk_sizes_reject_a_chunk_that_is_not_a_positive_integer(chunk):
-    with pytest.raises(ValueError, match="chunk"):
-        chunk_sizes(10, chunk)
-
-
-@pytest.mark.parametrize("chunk", [0, -5, 2.5])
-def test_the_sampler_rejects_a_bad_chunk(chunk):
-    with pytest.raises(ValueError, match="chunk"):
-        empirical_pn(R=1e6, M=1000, chunk=chunk)
-
-
 def _force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
