@@ -21,7 +21,7 @@ for c in convergents(digits[:8]):
           f"1/q^2={1.0 / c.q**2:.3e}")
 
 # the convergent value can be recovered exactly
-val = evaluate_cf(digits[1:6], head=digits[0], exact=True)
+val = evaluate_cf(digits[1:6], head=digits[0])
 print("\nexact six-digit convergent of 1/x:", val, "=", float(val))
 
 # golden-ratio digits make the slowest-growing denominators
@@ -50,4 +50,4 @@ print("its crossing of R = 5 still exists:",
 frac = Fraction(355, 113) - 3
 digits = expand_digits(frac, 2)
 print("\nfractional part of 355/113 expands as:", digits)
-print("and evaluates back to:", evaluate_cf(digits, exact=True))
+print("and evaluates back to:", evaluate_cf(digits))

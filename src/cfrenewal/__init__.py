@@ -1,7 +1,7 @@
 """Exact continued-fraction arithmetic, the Gauss system, and its renewal law.
 
-The package is organised around one pipeline: expand reals into digit
-windows with certified error control, drive the two-sided shift and
+The package is organised around one pipeline: expand rationals into
+exact digit windows, drive the two-sided shift and
 its suspension flow, and confront sampled renewal overshoots with the
 closed form of their limiting distribution.  A digit window is a plain
 tuple of positive ints, checked by ``cf.digit_window``; a point of the
@@ -31,7 +31,6 @@ from .errors import (
     TrailingUnderflow,
     Unreachable,
 )
-from .fixedreal import FixedReal
 from .flow import (
     CorrectionSeries,
     FlowPoint,
@@ -87,7 +86,6 @@ __all__ = [
     "CorrelationEstimate",
     "Cylinder",
     "DistributionTable",
-    "FixedReal",
     "FlowPoint",
     "IncompatibleTables",
     "InsufficientDigits",

@@ -25,9 +25,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import InsufficientDigits, InvalidDigits, RationalInput, TrailingUnderflow
-from .fixedreal import FixedReal
-
-RealLike = Union[float, Fraction, FixedReal]
 
 
 @dataclass(frozen=True)
@@ -118,15 +115,12 @@ def window_value(digits: Sequence[int]) -> tuple[int, int]:
     return n, d
 
 
-def evaluate_cf(
-    digits: Sequence[int],
-    head: int = 0,
-    exact: bool = False,
-):
-    """Value of head + [a_1, a_2, ..., a_n] as a float or exact Fraction.
+def evaluate_cf(digits: Sequence[int], head: int = 0) -> Fraction:
+    """Exact value of head + [a_1, a_2, ..., a_n], as a Fraction.
 
     ``head`` is any Python or numpy integer, of either sign; a bool, a
-    float or a string raises InvalidDigits.
+    float or a string raises InvalidDigits.  ``float()`` of the result
+    is correctly rounded.
     """
     ds = digit_window(digits)
     try:
@@ -135,8 +129,7 @@ def evaluate_cf(
         value = Fraction(operator.index(head))
     except TypeError:
         raise InvalidDigits(f"head must be an integer, got {head!r}") from None
-    value += Fraction(*window_value(ds))
-    return value if exact else float(value)
+    return value + Fraction(*window_value(ds))
 
 
 def rational_digits(x: Union[float, Fraction]) -> tuple[int, ...]:
@@ -158,31 +151,18 @@ def rational_digits(x: Union[float, Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expand_fixed(x: FixedReal, n_max: int) -> list[int]:
-    out = []
-    while len(out) < n_max:
-        a, x = x.floor_recip()
-        out.append(a)
-    return out
-
-
-def expand_digits(x: RealLike, n_max: int) -> tuple[int, ...]:
+def expand_digits(x: Union[float, Fraction], n_max: int) -> tuple[int, ...]:
     """First n_max continued-fraction digits (a_1, ..., a_n_max) of x in (0, 1).
 
     The digits come back as a plain tuple of ints, the digit window that
-    ``convergents``, ``evaluate_cf`` and ``renewal_index`` read.  Floats
-    are treated as the exact dyadic rationals they are; use a FixedReal
-    input for certified deep expansions of irrational values.  Raises
-    RationalInput, carrying every digit, when the expansion terminates
-    before n_max digits, and PrecisionExhausted when a FixedReal
-    enclosure can no longer certify the next digit.
+    ``convergents``, ``evaluate_cf`` and ``renewal_index`` read.  x is a
+    float or a Fraction, and a float is treated as the exact dyadic
+    rational it is, so every input is rational: RationalInput, carrying
+    every digit, is raised when the expansion terminates before n_max
+    digits.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if isinstance(x, FixedReal):
-        if not (0 < x.value < 1):
-            raise ValueError("x must lie in (0, 1)")
-        return tuple(_expand_fixed(x, n_max))
     x_frac = Fraction(x)
     if not (0 < x_frac < 1):
         raise ValueError("x must lie in (0, 1)")

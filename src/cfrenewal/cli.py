@@ -40,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
     RationalInput,
 )
-from .flow import FlowPoint, flow_evolve
+from .flow import FlowPoint, _check_time, flow_evolve
 from .gauss import sample_mu2
 from .limitlaw import (
     DistributionTable,
@@ -247,8 +247,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    if not math.isfinite(args.t):
-        raise ValueError(f"--t must be finite, got {args.t!r}")
+    _check_time(args.t, "--t")  # before the window is sized from t
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     rng = substream(_seed(args), 0)

@@ -43,13 +43,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .cf import convergents, digit_window, rational_digits, window_value
 from .errors import InsufficientDigits, InvalidDigits, RationalInput
-from .fixedreal import FixedReal
 
 LN2 = math.log(2.0)
 
@@ -91,9 +90,9 @@ class NaturalExtPoint:
         return cls(rational_digits(alpha_minus), rational_digits(alpha_plus))
 
     @classmethod
-    def golden(cls, depth: int = 96) -> "NaturalExtPoint":
-        """The all-ones fixed point ((sqrt(5)-1)/2 on both sides), cut at ``depth``."""
-        ones = (1,) * depth
+    def golden(cls) -> "NaturalExtPoint":
+        """The all-ones fixed point ((sqrt(5)-1)/2 on both sides), cut at 96 digits."""
+        ones = (1,) * 96
         return cls(ones, ones)
 
     # -- coordinate views ----------------------------------------------
@@ -171,19 +170,11 @@ def _shifted(bwd, fwd, minus_nd, plus_nd) -> NaturalExtPoint:
     return point
 
 
-def gauss_map(x: Union[float, Fraction, FixedReal]):
-    """Fractional part of 1/x; shifts the digit string left by one."""
-    if isinstance(x, FixedReal):
-        _, rem = x.floor_recip()
-        return rem
-    if isinstance(x, Fraction):
-        if not (0 < x < 1):
-            raise ValueError("x must lie in (0, 1)")
-        inv = 1 / x
-        frac = inv - (inv.numerator // inv.denominator)
-        if frac == 0:
-            raise RationalInput("image of a unit fraction is zero")
-        return frac
+def gauss_map(x: float) -> float:
+    """Fractional part of 1/x in binary64; shifts the digit string left by one.
+
+    RationalInput when the image rounds to zero, as it does at 1/k.
+    """
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     inv = 1.0 / x

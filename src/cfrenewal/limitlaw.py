@@ -30,6 +30,7 @@ import csv
 import io
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -41,6 +42,7 @@ from .errors import (
     BudgetExceeded,
     IncompatibleTables,
     InvalidBins,
+    InvalidDigits,
     integer_arg,
     sample_count,
 )
@@ -170,8 +172,21 @@ def theoretical_pn(a: float, b: float, c: Sequence[int] = ()) -> float:
 # -- distribution tables -----------------------------------------------
 
 
+# the largest x whose exp is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def default_ratio_edges(delta: float = 0.05, count: int = 120) -> tuple[float, ...]:
-    """Logarithmic ratio bin edges exp(j*delta), j = 0..count."""
+    """Logarithmic ratio bin edges exp(j*delta), j = 0..count.
+
+    InvalidBins, naming delta and count, when the last edge would
+    overflow a double.
+    """
+    if count * delta > _LOG_MAX:
+        raise InvalidBins(
+            f"bin delta {delta!r} times bin count {count!r} exceeds "
+            f"{_LOG_MAX:.2f}, past which the last edge exp(delta*count) overflows"
+        )
     return tuple(math.exp(j * delta) for j in range(count + 1))
 
 
@@ -237,6 +252,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _digit_tuple(t):
+    """None, or t as a checked digit window; InvalidBins naming t otherwise."""
+    if t is None:
+        return None
+    try:
+        return digit_window(t)
+    except InvalidDigits as exc:
+        raise InvalidBins(f"digit tuple {t!r} is not a digit window: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Binned joint law of (overshoot ratio, trailing digit tuple).
@@ -249,9 +274,10 @@ class DistributionTable:
     happened too early to have the requested trailing window); the
     masses of rejected samples are excluded, so total mass plus the
     rejected fraction is 1.  Theoretical tables have sample_count 0 and
-    per-cell error bars.  sample_count and rejected must be non-negative
+    per-cell error bars.  Each digit tuple other than None must pass
+    ``cf.digit_window``; sample_count and rejected must be non-negative
     integers, seed None or an integer, and R_used None or a real number;
-    else InvalidBins names the field.
+    else InvalidBins names the tuple or the field.
     """
 
     ratio_bin_edges: tuple[float, ...]
@@ -266,7 +292,9 @@ class DistributionTable:
     def __post_init__(self) -> None:
         edges = _check_edges(self.ratio_bin_edges)
         object.__setattr__(self, "ratio_bin_edges", edges)
-        object.__setattr__(self, "digit_tuples", tuple(self.digit_tuples))
+        object.__setattr__(
+            self, "digit_tuples", tuple(map(_digit_tuple, self.digit_tuples))
+        )
         mass = np.asarray(self.mass, dtype=float)
         expect = (len(self.digit_tuples), len(edges))
         if mass.shape != expect:
@@ -325,9 +353,7 @@ class DistributionTable:
         missing = [k for k in ("ratio_bin_edges", "digit_tuples", "mass") if k not in d]
         if missing:
             raise InvalidBins(f"JSON table lacks {', '.join(missing)}")
-        tuples = tuple(
-            None if t == "other" else tuple(t) for t in d["digit_tuples"]
-        )
+        tuples = tuple(None if t == "other" else t for t in d["digit_tuples"])
         return cls(
             ratio_bin_edges=tuple(d["ratio_bin_edges"]),
             digit_tuples=tuples,
@@ -406,6 +432,7 @@ class DistributionTable:
         edges = field("edges", lambda text: tuple(map(float, text.split(","))))
         # label -> (masses, errors), in order of first appearance
         cells: dict[str, tuple[list, list]] = {}
+        tuples = []
         for number, fields in reader:
             if len(fields) != len(_CSV_HEADER):
                 raise InvalidBins(
@@ -413,6 +440,18 @@ class DistributionTable:
                     f"expected {len(_CSV_HEADER)}"
                 )
             label, _lo, _hi, mass, err = fields
+            if label not in cells:
+                try:
+                    tuples.append(
+                        None
+                        if label == "other"
+                        else () if label == "()" else tuple(map(int, label.split("-")))
+                    )
+                except ValueError:
+                    raise InvalidBins(
+                        f"CSV line {number}: digit label {label!r} is not "
+                        "integers joined by '-'"
+                    ) from None
             masses, errs = cells.setdefault(label, ([], []))
             try:
                 masses.append(float(mass))
@@ -426,12 +465,6 @@ class DistributionTable:
                 raise InvalidBins(
                     f"digit tuple {label} has {len(masses)} rows, expected {len(edges)}"
                 )
-        tuples = tuple(
-            None
-            if label == "other"
-            else () if label == "()" else tuple(int(x) for x in label.split("-"))
-            for label in cells
-        )
         mass = np.array([masses for masses, _ in cells.values()], dtype=float)
         error = None
         if meta.get("has_error") == "True":

@@ -79,32 +79,31 @@ def holonomy_invariant(fp: FlowPoint) -> float:
     return ap * math.exp(fp.height) / (1.0 + am * ap)
 
 
-def connect_via_leaves(
-    start: FlowPoint,
-    target: FlowPoint,
-    chart: float = 0.1,
-    tie_tol: float = 1e-12,
-) -> tuple[FlowPoint, FlowPoint]:
+_CHART = 0.1
+_TIE_TOL = 1e-12
+
+
+def connect_via_leaves(start: FlowPoint, target: FlowPoint) -> tuple[FlowPoint, FlowPoint]:
     """Two intermediate corners of a stable-unstable-stable chain.
 
     Returns (mid1, mid2) with mid1 on the stable leaf of start, mid2 on
     the unstable leaf of mid1, and target on the stable leaf of mid2.
-    Equal holonomy invariants (within tie_tol, relatively) mean either
+    Equal holonomy invariants (within 1e-12, relatively) mean either
     that the two points share a stable leaf, in which case the chain is
     trivial and (target, target) comes back, or that the corner escapes
     to infinity, which raises Unreachable.  OutOfChart signals a corner
-    outside the chart or the fiber.
+    outside the chart (coordinates more than 0.1 apart) or the fiber.
     """
     am0, ap0, y0 = start.base.alpha_minus, start.base.alpha_plus, start.height
     am1, ap1, y1 = target.base.alpha_minus, target.base.alpha_plus, target.height
     if (am0, ap0, y0) == (am1, ap1, y1):
         return start, start
-    if max(abs(am0 - am1), abs(ap0 - ap1), abs(y0 - y1)) > chart:
+    if max(abs(am0 - am1), abs(ap0 - ap1), abs(y0 - y1)) > _CHART:
         raise OutOfChart("points do not share a small chart")
     h0 = holonomy_invariant(start)
     h1 = holonomy_invariant(target)
-    if abs(h0 - h1) <= tie_tol * max(abs(h0), abs(h1)):
-        if abs(ap0 - ap1) <= tie_tol * max(ap0, ap1):
+    if abs(h0 - h1) <= _TIE_TOL * max(abs(h0), abs(h1)):
+        if abs(ap0 - ap1) <= _TIE_TOL * max(ap0, ap1):
             return target, target
         raise Unreachable("equal holonomy invariants with distinct alpha_plus")
     kappa = math.exp(y1 - y0) * (1.0 + am0 * ap0) / (1.0 + am1 * ap1)
@@ -294,6 +293,15 @@ def _moments(
     return z.sum(axis=0), z.T @ z
 
 
+# The largest t correlation_estimate takes.  A lane subtracts about
+# t/1.19 roofs from a height near t, each rounded to half an ulp of t, so
+# its height drifts from the exact value as t**1.5: over 20 lanes at
+# t = 2**20 the drift had rms 2.3e-8 and max 6.2e-8 (rms 3.6e-10 over
+# 200 lanes at 2**16).  Far beyond, a roof below 1 no longer moves a
+# height of 2**53 or more, and the lane loop never ends.
+_T_MAX = 2.0**20
+
+
 def correlation_estimate(
     A: BoxSpec,
     B: BoxSpec,
@@ -314,11 +322,14 @@ def correlation_estimate(
     two moment sums before it takes the next chunk, so memory does not
     grow with M.  The calling thread adds the moment sums in chunk
     order, so the result is bit-identical for a given (seed, M)
-    whatever the CPU count.
+    whatever the CPU count.  t must lie in [0, 2**20]; ValueError
+    otherwise, before any lane is drawn.
     """
     M = sample_count(M)
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and non-negative")
+    if not 0 <= t <= _T_MAX:
+        raise ValueError(
+            f"t must be finite, non-negative and at most {_T_MAX:.0f}, got {t!r}"
+        )
     sizes = chunk_sizes(M, 4 * CHUNK)
     moments = [None] * len(sizes)
 

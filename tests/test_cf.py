@@ -52,7 +52,7 @@ def test_convergents_of_pi_fractional_part():
 
 def test_evaluate_with_integer_head():
     # 7 + [15, 1, 292] reduces to 33102/4687, a hair over 7.0625
-    v = evaluate_cf((15, 1, 292), head=7, exact=True)
+    v = evaluate_cf((15, 1, 292), head=7)
     assert v == Fraction(33102, 4687)
     assert abs(float(v) - 7.062513334755708) < 1e-12
 
@@ -60,18 +60,17 @@ def test_evaluate_with_integer_head():
 @pytest.mark.parametrize("head", [0, -2, 5, np.int64(-1), np.uint8(3)])
 @pytest.mark.parametrize("digits", [(), (2,), (15, 1, 292)])
 def test_exact_evaluation_is_a_fraction_for_any_integer_head(digits, head):
-    tail = evaluate_cf(digits, exact=True)
-    v = evaluate_cf(digits, head=head, exact=True)
+    tail = evaluate_cf(digits)
+    v = evaluate_cf(digits, head=head)
     assert type(v) is Fraction
     assert v == int(head) + tail
-    assert evaluate_cf(digits, head=head) == float(v)
 
 
 @pytest.mark.parametrize("head", [0.5, 2.0, True, np.True_, "1"])
 @pytest.mark.parametrize("digits", [(), (2,)])
 def test_evaluation_rejects_a_head_that_is_not_an_integer(digits, head):
     with pytest.raises(InvalidDigits, match="head"):
-        evaluate_cf(digits, head=head, exact=True)
+        evaluate_cf(digits, head=head)
 
 
 def test_digit_window_is_a_tuple_of_ints():
@@ -167,7 +166,7 @@ def test_denominators_grow_at_golden_rate_or_faster(digits):
 @settings(max_examples=200, deadline=None)
 @given(digits=digit_tuples, tail=digit_tuples)
 def test_convergents_approximate_to_inverse_square(digits, tail):
-    x = evaluate_cf(digits + tail, exact=True)
+    x = evaluate_cf(digits + tail)
     for c in convergents(digits):
         assert abs(x - Fraction(c.p, c.q)) <= Fraction(1, c.q**2)
 
@@ -188,7 +187,7 @@ def test_crossing_brackets_the_threshold(digits, r_exp):
 @settings(max_examples=200, deadline=None)
 @given(digits=digit_tuples)
 def test_expansion_round_trips_through_evaluation(digits):
-    x = evaluate_cf(digits, exact=True)
+    x = evaluate_cf(digits)
     if x == 1:  # only the single-digit window (1,) evaluates to 1
         return
     # canonical form may merge a trailing 1 into the previous digit
@@ -196,7 +195,7 @@ def test_expansion_round_trips_through_evaluation(digits):
         assert expand_digits(x, len(digits)) == digits
     except RationalInput as exc:
         full = exc.digits
-        assert evaluate_cf(full, exact=True) == x
+        assert evaluate_cf(full) == x
         assert full[: len(full) - 1] == digits[: len(full) - 1]
 
 

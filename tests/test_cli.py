@@ -231,6 +231,24 @@ def test_simulate_refuses_a_table_over_the_cell_cap(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--bin-delta", "1000", "--M", "10"], "bin delta 1000.0 times bin count 120"),
+        (["theory", "--N", "1", "--bin-count", "100000000"], "bin delta 0.05 times bin count 100000000"),
+    ],
+    ids=["simulate", "theory"],
+)
+def test_bin_settings_whose_last_edge_overflows_write_nothing(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    # unchecked, both ended in OverflowError: math range error
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} exceeds 709.78")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_rejected_run_makes_no_out_dir(tmp_path, capsys):
     out_dir = tmp_path / "newdir"
     argv = ["simulate", "--N", "1", "--digit-range", "0", "--M", "10"]
@@ -398,6 +416,20 @@ def test_compare_identical_tables_is_exact(tmp_path, capsys):
     assert "distance = 0.000000" in capsys.readouterr().out
 
 
+def test_compare_names_a_label_that_is_not_digits(tmp_path, capsys):
+    table = theoretical_table(N=1, bins=(1.0, 1.5), digit_range=2)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(table.to_csv().replace("\n1,", "\na-b,"))
+    good = tmp_path / "good.csv"
+    good.write_text(table.to_csv())
+    assert main(["compare", str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: CSV line 8: digit label 'a-b' is not integers joined by '-'\n"
+    )
+    assert captured.out == ""
+
+
 def test_compare_mismatched_layouts_exits_four(tmp_path, capsys):
     emp, _ = _make_pair(tmp_path, bin_count=20)
     other = tmp_path / "other.json"
@@ -508,6 +540,29 @@ def test_flow_is_deterministic(tmp_path, capsys):
 def test_flow_rejects_non_finite_time(t, capsys):
     assert main(["flow", "--seed", "9", "--t", t]) == 1
     assert f"error: --t must be finite, got {t}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["1000", "1e308", "-256.5"])
+def test_flow_refuses_a_time_past_its_bound(t, tmp_path, capsys):
+    # at t=1000 the round trip came back a roof off, and 1e308 ended in
+    # OverflowError from sizing the digit window
+    out = tmp_path / "traj.csv"
+    assert main(["flow", "--seed", "2", "--t", t, "--steps", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --t must be at most 256 in absolute value")
+    assert captured.err.endswith(f"got {float(t)!r}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_mixing_refuses_a_time_past_its_bound(capsys):
+    # it never returned: the lanes' heights stopped moving
+    assert main(["mixing", "--t", "1e308", "--M", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: t must be finite, non-negative and at most 1048576, got 1e+308\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

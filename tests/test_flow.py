@@ -1,6 +1,7 @@
 """Roof function, ergodic sums, the correction series, and the flow."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +87,7 @@ def test_correction_series_contracts_geometrically():
 def test_correction_at_golden_closed_form():
     # the all-ones point: denominators are Fibonacci, so the defect of
     # log q_n against n log(1/g) converges to log((1+g)/sqrt(5))
-    series = correction_f(NaturalExtPoint.golden(depth=96), tol=1e-12)
+    series = correction_f(NaturalExtPoint.golden(), tol=1e-12)
     want = math.log((1 + GOLDEN) / math.sqrt(5))
     assert series.limit == pytest.approx(want, abs=1e-11)
     assert series.error_bound < 1e-11
@@ -189,6 +190,16 @@ def test_flow_rejects_non_finite_time(t):
         flow_evolve(FlowPoint(p, 0.5 * roof_phi(p)), t)
 
 
+@pytest.mark.parametrize("t", [256.5, -300.0, 1e308])
+def test_flow_refuses_a_time_past_its_bound(t):
+    # past it, round trips from the floor came back a whole roof off, and the
+    # CLI sized a 3t-digit window first: 1e308 ended in OverflowError
+    p = sample_mu2(substream(31, 11), depth=128)
+    message = f"t must be at most 256 in absolute value, .*; got {re.escape(repr(t))}$"
+    with pytest.raises(ValueError, match=message):
+        flow_evolve(FlowPoint(p, 0.5 * roof_phi(p)), t)
+
+
 def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     # stepped points inherit their exact coordinates, so a long flow
     # evaluates each digit window once, not once per roof crossing
@@ -202,8 +213,8 @@ def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     monkeypatch.setattr(gauss, "window_value", counting)
     p = sample_mu2(substream(31, 12), depth=800)
     fp = FlowPoint(p, 0.5 * roof_phi(p))
-    end = flow_evolve(fp, 260.0)
-    back = flow_evolve(end, -260.0)
+    end = flow_evolve(fp, 256.0)  # the largest time flow_evolve takes
+    back = flow_evolve(end, -256.0)
     assert len(end.base.bwd) - len(p.bwd) >= 200
     assert back.base.alpha_minus == p.alpha_minus
     assert back.base.alpha_plus == p.alpha_plus

@@ -16,7 +16,6 @@ from cfrenewal.errors import (
     InvalidDigits,
     RationalInput,
 )
-from cfrenewal.fixedreal import FixedReal
 from cfrenewal.gauss import (
     Cylinder,
     NaturalExtPoint,
@@ -41,12 +40,6 @@ def test_map_fixes_the_golden_ratio():
     assert gauss_map(GOLDEN) == pytest.approx(GOLDEN, abs=1e-15)
 
 
-def test_map_fixes_root_two_minus_one_certified():
-    x = FixedReal.from_sqrt(2, bits=512).sub_int(1)
-    y = gauss_map(x)
-    assert y.contains(x.lower) or abs(y.value - x.value) < 1e-120
-
-
 def test_map_on_pi_fraction():
     assert gauss_map(math.pi - 3) == pytest.approx(0.06251330593105209, abs=1e-15)
 
@@ -54,11 +47,6 @@ def test_map_on_pi_fraction():
 def test_map_sends_reciprocal_integers_to_zero():
     with pytest.raises(RationalInput):
         gauss_map(Fraction(1, 4))
-
-
-def test_map_exact_on_fractions():
-    # 1/(3/7) = 7/3 = 2 + 1/3
-    assert gauss_map(Fraction(3, 7)) == Fraction(1, 3)
 
 
 # -- the invertible extension ------------------------------------------
@@ -147,7 +135,7 @@ def test_from_values_reproduces_its_inputs(am, ap):
 def test_windows_hold_every_digit_of_a_float(p):
     # a binary64 value is a dyadic rational with a finite expansion, and
     # the backward window of a float-built point keeps all of it
-    assert evaluate_cf(p.bwd, exact=True) == Fraction(p.alpha_minus)
+    assert evaluate_cf(p.bwd) == Fraction(p.alpha_minus)
 
 
 def test_backward_orbit_of_golden_stays_golden():
@@ -177,7 +165,7 @@ _walk_starts = st.one_of(
         st.floats(min_value=1e-3, max_value=0.999),
         st.floats(min_value=1e-3, max_value=0.999),
     ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap)),
-    st.sampled_from([NaturalExtPoint.golden(depth=4), NaturalExtPoint((2,) * 4, (2,) * 4)]),
+    st.sampled_from([NaturalExtPoint((1,) * 4, (1,) * 4), NaturalExtPoint((2,) * 4, (2,) * 4)]),
 )
 
 
@@ -323,7 +311,7 @@ def test_cylinder_interval_contains_its_point(digits):
     from cfrenewal.cf import evaluate_cf
 
     lo, hi = interval_for_digits(digits)
-    x = evaluate_cf(digits, exact=True)
+    x = evaluate_cf(digits)
     assert lo <= x <= hi
 
 

@@ -13,9 +13,16 @@ leading underscore, must be read by something other than its own
 definition, the package's ``__init__`` and the tests: a package module,
 a demo, or a benchmark file, where a string counts too, since the
 tracer wraps functions by name.
+
+A parameter with a default must be set by some call outside the tests,
+or it is a constant in disguise.  And ``import cfrenewal`` must not load
+``fixedreal``, which only the benchmark's tracer reads.
 """
 
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +34,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TRACING = ROOT / "bench" / "tracing.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+README = ROOT / "README.md"
 # every numpy bit generator, and the two calls that build one implicitly
 GENERATOR_NAMES = {
     name for name in dir(np.random)
@@ -217,3 +225,130 @@ def test_only_streams_builds_a_bit_generator():
     sources = sorted(SRC.glob("*.py"))
     builders = [p.name for p in sources if generator_names(p.read_text())]
     assert builders == ["streams.py"]
+
+
+def test_importing_the_package_leaves_fixedreal_unloaded():
+    code = "import sys, cfrenewal; print('cfrenewal.fixedreal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, object]]:
+    """(call name, parameter, position) for each parameter with a default.
+
+    position counts a call's positional arguments, so a method's self or
+    cls takes none; it is None for a keyword-only parameter.  A class's
+    ``__init__`` goes by the class's name, as its calls do.
+    """
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, cls)
+                continue
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list
+            )
+            shift = 1 if cls is not None and not static else 0
+            name = cls.name if cls is not None and child.name == "__init__" else child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                out.append((name, arg.arg, index - shift))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.append((name, arg.arg, None))
+            visit(child, None)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def unset_parameters(definitions: list[str], callers: list[str]) -> list[str]:
+    """``name.parameter`` for each defaulted parameter no call in callers passes.
+
+    A call passes a parameter by keyword, by position, or through a
+    ``*`` or ``**`` argument.  Calls match by the name they call.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, parameter, position):
+        keywords = {k.arg for k in call.keywords}
+        if parameter in keywords or None in keywords:
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(
+            isinstance(a, ast.Starred) for a in call.args
+        )
+
+    return [
+        f"{name}.{parameter}"
+        for source in definitions
+        for name, parameter, position in defaulted_parameters(source)
+        if not any(passes(c, parameter, position) for c in calls.get(name, []))
+    ]
+
+
+def quick_tour() -> str:
+    return re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+# defaults that only the tests set, kept on purpose
+UNSET_ON_PURPOSE = {
+    # a table at R=10, N=3, which ROADMAP item 1 checks against the exact
+    # law, rejects far more than the default 0.1 % of its samples
+    "empirical_pn.max_rejected_fraction",
+    # acceptance criterion 5 draws its 100,000 digit rows through the vector form
+    "sample_mu2_window.size",
+}
+
+
+def test_the_check_finds_a_parameter_nothing_sets():
+    definitions = [
+        "def f(x, n=1, *, tol=0.5, mode='a'):\n"
+        "    return x\n"
+        "class Box:\n"
+        "    def __init__(self, lo, hi=1.0):\n"
+        "        pass\n"
+        "    def scale(self, k=2):\n"
+        "        return k\n"
+        "    @staticmethod\n"
+        "    def unit(side=1):\n"
+        "        return side\n"
+    ]
+    callers = [
+        "f(1, 2, tol=0.1)\n"
+        "Box(0.0)\n"
+        "b.scale(3)\n"
+        "Box.unit()\n"
+    ]
+    # Box(0.0) leaves hi unset; b.scale(3) sets k, one past self
+    assert unset_parameters(definitions, callers) == ["f.mode", "Box.hi", "unit.side"]
+    more = "f(*xs)\nBox(0, 1)\nBox.unit(**sides)\n"
+    assert unset_parameters(definitions, callers + [more]) == ["f.mode"]
+
+
+def test_every_parameter_has_a_setter():
+    skip = {"fixedreal.py", "quadrature.py"}  # kept only for the benchmark's tracer
+    definitions = [p.read_text() for p in MODULES if p.name not in skip]
+    callers = [p.read_text() for p in [*MODULES, *DEMOS, *BENCH]] + [quick_tour()]
+    unset = unset_parameters(definitions, callers)
+    # an entry whose parameter gains a setter, or goes, leaves the list
+    assert sorted(UNSET_ON_PURPOSE - set(unset)) == []
+    assert sorted(set(unset) - UNSET_ON_PURPOSE) == []

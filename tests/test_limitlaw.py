@@ -629,6 +629,46 @@ def test_csv_cell_that_is_not_a_number_names_its_line(column, bad):
         DistributionTable.from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("a-b", "CSV line 8: digit label 'a-b' is not integers joined by '-'"),
+        ("0--3", "CSV line 8: digit label '0--3' is not integers joined by '-'"),
+        ("0-3", r"digit tuple \(0, 3\) is not a digit window"),
+    ],
+)
+def test_csv_label_that_is_not_a_digit_window_is_named(label, message):
+    # unchecked, int() raised a bare ValueError, or the tuple (0, 3) was kept
+    text = _small_csv()
+    assert text.splitlines()[7].startswith("1,1.0,")
+    with pytest.raises(InvalidBins, match=message):
+        DistributionTable.from_csv(text.replace("\n1,", f"\n{label},"))
+
+
+def test_table_digit_tuples_are_digit_windows():
+    # unchecked, this table kept the tuples ('a', 'b') and (0, -3), and
+    # to_csv wrote them as the labels a-b and 0--3
+    d = {
+        "ratio_bin_edges": [1.0, 2.0],
+        "digit_tuples": ["ab", [0, -3]],
+        "mass": [[0.1, 0.2], [0, 0]],
+    }
+    with pytest.raises(InvalidBins, match="digit tuple 'ab' is not a digit window"):
+        DistributionTable.from_json_dict(d)
+    d["digit_tuples"] = [[2], [0, -3]]
+    with pytest.raises(InvalidBins, match=r"digit tuple \[0, -3\] is not a digit window"):
+        DistributionTable.from_json_dict(d)
+    d["digit_tuples"] = [[np.int64(2)], "other"]
+    assert DistributionTable.from_json_dict(d).digit_tuples == ((2,), None)
+
+
+@pytest.mark.parametrize("delta, count", [(1000.0, 120), (0.05, 100_000_000)])
+def test_ratio_edges_that_overflow_are_named(delta, count):
+    # unchecked, math.exp raised OverflowError: math range error
+    with pytest.raises(InvalidBins, match=f"bin delta {delta!r} times bin count {count}"):
+        default_ratio_edges(delta, count)
+
+
 @pytest.mark.parametrize("edges", [(), (1.0,)])
 def test_fewer_than_two_edges_are_named_as_such(edges):
     with pytest.raises(InvalidBins, match=f"at least 2 edges, got {len(edges)}"):

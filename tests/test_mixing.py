@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -139,7 +140,7 @@ def test_pair_distance_rejects_negative_time():
 
 
 def test_stable_pairs_contract_forward():
-    base = NaturalExtPoint.golden(depth=96)
+    base = NaturalExtPoint.golden()
     p1 = FlowPoint(base, 0.2)
     p2 = stable_leaf_point(p1, 0.42)
     d0 = flow_pair_distance(p1, p2, 0.0)
@@ -151,7 +152,7 @@ def test_stable_pairs_contract_forward():
 
 
 def test_unstable_pairs_expand_forward():
-    base = NaturalExtPoint.golden(depth=96)
+    base = NaturalExtPoint.golden()
     p1 = FlowPoint(base, 0.2)
     # a point of p1's unstable leaf: the same past and height, a moved future
     ap = p1.base.alpha_plus + 1e-6
@@ -235,6 +236,19 @@ def test_correlation_rejects_non_finite_time(t):
     A = BoxSpec(plus_digits=(1,))
     with pytest.raises(ValueError, match="finite"):
         correlation_estimate(A, A, t=t, M=100)
+
+
+@pytest.mark.parametrize("t", [2.0**20 + 1, 1e308])
+def test_correlation_refuses_a_time_past_its_bound_before_drawing(t, monkeypatch):
+    # at t=1e308 a height minus a roof rounds back to the height, so the
+    # lane loop never ended
+    def no_lanes(*args):
+        raise AssertionError("a lane was drawn")
+
+    monkeypatch.setattr(mixing, "_correlation_chunk", no_lanes)
+    A = BoxSpec(plus_digits=(1,))
+    with pytest.raises(ValueError, match=f"at most 1048576, got {re.escape(repr(t))}$"):
+        correlation_estimate(A, A, t=t, M=10)
 
 
 def test_correlation_is_deterministic_in_seed():
