@@ -51,7 +51,7 @@ from .limitlaw import (
     theoretical_pn,
     theoretical_table,
 )
-from .mixing import BoxSpec, correlation_estimate
+from .mixing import BoxSpec, _check_time as _check_mixing_time, correlation_estimate
 from .streams import substream
 
 SCHEMA_VERSION = 1
@@ -285,6 +285,8 @@ def cmd_mixing(args) -> int:
     B = BoxSpec(plus_digits=(args.b_digit,), y_lo=0.0, y_hi=args.b_ymax)
     M = _sample_count(args.M)
     seed = _seed(args)
+    for t in ts:  # all of them before the first estimate is drawn
+        _check_mixing_time(t)
     rows = ["t,estimate,stderr,mass_A,mass_B"]
     for t in ts:
         est = correlation_estimate(A, B, t, M, seed=seed)

@@ -30,8 +30,18 @@ def roof_phi(p: NaturalExtPoint) -> float:
 
     Equals minus the logarithm of the backward coordinate of step(p),
     since that coordinate is 1/(a_1 + alpha_minus) by construction.
+    alpha_minus is read as n/d off the exact pair that every stepped
+    point carries, the float the ``alpha_minus`` property gives, so a
+    roof crossing in ``flow_evolve`` evaluates no coordinate property.
+    InsufficientDigits for an empty forward window, then for an empty
+    backward one.
     """
-    return math.log(p.digit(1) + p.alpha_minus)
+    if not p.fwd:
+        raise InsufficientDigits("digit a_1 outside the cached window")
+    if not p.bwd:
+        raise InsufficientDigits("no backward information")
+    n, d = p._minus_nd
+    return math.log(p.fwd[0] + n / d)
 
 
 def _roof_walk(p: NaturalExtPoint, n: int) -> tuple[list[int], list[float]]:

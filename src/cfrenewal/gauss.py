@@ -66,7 +66,9 @@ class NaturalExtPoint:
     digit shift.  A stepped point carries its exact coordinates, so each
     step costs O(1) big-int work and flowing for time t costs O(t); the
     carried state is a cache, not a field, and takes no part in ``==``,
-    ``hash`` or ``repr``.
+    ``hash`` or ``repr``.  ``flow.roof_phi`` reads the carried backward
+    pair itself, so a roof crossing evaluates neither ``alpha_minus``
+    nor ``alpha_plus``.
     """
 
     bwd: tuple[int, ...]
@@ -275,7 +277,9 @@ def sample_mu2_window(rng: np.random.Generator, depth: int, size=None):
         y = y0
         digs = []
         for u in rng.random(depth).tolist():
-            a = max(math.ceil((1.0 + y) / (1.0 - u) - 1.0 - y), 1)
+            a = math.ceil((1.0 + y) / (1.0 - u) - 1.0 - y)
+            if a < 1:  # cheaper than max() on every digit
+                a = 1
             digs.append(a)
             y = 1.0 / (a + y)
         return y0, tuple(digs)

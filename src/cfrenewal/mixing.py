@@ -302,6 +302,14 @@ def _moments(
 _T_MAX = 2.0**20
 
 
+def _check_time(t: float) -> None:
+    """ValueError naming t and the bound unless 0 <= t <= _T_MAX."""
+    if not 0 <= t <= _T_MAX:
+        raise ValueError(
+            f"t must be finite, non-negative and at most {_T_MAX:.0f}, got {t!r}"
+        )
+
+
 def correlation_estimate(
     A: BoxSpec,
     B: BoxSpec,
@@ -326,10 +334,7 @@ def correlation_estimate(
     otherwise, before any lane is drawn.
     """
     M = sample_count(M)
-    if not 0 <= t <= _T_MAX:
-        raise ValueError(
-            f"t must be finite, non-negative and at most {_T_MAX:.0f}, got {t!r}"
-        )
+    _check_time(t)
     sizes = chunk_sizes(M, 4 * CHUNK)
     moments = [None] * len(sizes)
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cfrenewal import mixing
 from cfrenewal.cli import _sample_count, main
 from cfrenewal.limitlaw import DistributionTable, theoretical_pn, theoretical_table
 
@@ -563,6 +564,24 @@ def test_mixing_refuses_a_time_past_its_bound(capsys):
         "error: t must be finite, non-negative and at most 1048576, got 1e+308\n"
     )
     assert captured.out == ""
+
+
+def test_mixing_checks_every_time_before_the_first_estimate(
+    tmp_path, capsys, monkeypatch
+):
+    # it printed the t=1 estimate before it refused t=1e308
+    def no_lanes(*args):
+        raise AssertionError("a lane was drawn")
+
+    monkeypatch.setattr(mixing, "_correlation_chunk", no_lanes)
+    out = tmp_path / "F"
+    assert main(["mixing", "--t", "1,1e308", "--M", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: t must be finite, non-negative and at most 1048576, got 1e+308\n"
+    )
+    assert "t=1:" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cfrenewal import gauss
 from cfrenewal.cf import convergents
+from cfrenewal.errors import InsufficientDigits
 from cfrenewal.flow import (
     FlowPoint,
     birkhoff_sum,
@@ -46,6 +48,63 @@ def test_roof_is_log_of_shifted_digit(am, ap):
     digit = int(1 / Fraction(ap))
     assert roof_phi(p) == pytest.approx(math.log(digit + am), rel=1e-14)
     assert roof_phi(p) > 0.0
+
+
+def _roof_by_property(p):
+    # the roof through the digit and the public coordinate property
+    return math.log(p.digit(1) + p.alpha_minus)
+
+
+def _walk_roofs(p, moves):
+    """Check the roof of p and of each point a walk of steps/inverses reaches."""
+    for forward in moves:
+        if not (p.fwd and p.bwd):
+            return
+        assert roof_phi(p) == _roof_by_property(p)
+        p = p.step() if forward else p.inverse()
+
+
+walks = st.lists(st.booleans(), max_size=120)
+
+
+@settings(max_examples=100, deadline=None)
+@given(am=coords, ap=coords, moves=walks)
+def test_roof_is_bit_identical_to_the_property_form_on_value_points(am, ap, moves):
+    _walk_roofs(NaturalExtPoint.from_values(am, ap), [True, *moves])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 80), moves=walks)
+def test_roof_is_bit_identical_to_the_property_form_on_sampled_points(
+    seed, depth, moves
+):
+    _walk_roofs(sample_mu2(substream(seed, 14), depth=depth), [True, *moves])
+
+
+@pytest.mark.parametrize(
+    "bwd, fwd, message",
+    [
+        ((2, 3), (), "digit a_1 outside the cached window"),
+        ((), (2, 3), "no backward information"),
+        ((), (), "digit a_1 outside the cached window"),  # the forward window first
+    ],
+)
+def test_roof_needs_both_windows(bwd, fwd, message):
+    p = NaturalExtPoint(bwd, fwd)
+    with pytest.raises(InsufficientDigits, match=message):
+        roof_phi(p)
+    with pytest.raises(InsufficientDigits, match=message):
+        _roof_by_property(p)
+
+
+def test_roof_of_a_point_stepped_off_its_window_raises():
+    # a stepped point carries both pairs even when a window is empty
+    p = NaturalExtPoint((1, 2), (3,)).step()
+    with pytest.raises(InsufficientDigits, match="digit a_1 outside"):
+        roof_phi(p)
+    q = NaturalExtPoint((1,), (3,)).inverse()
+    with pytest.raises(InsufficientDigits, match="no backward information"):
+        roof_phi(q)
 
 
 def test_ergodic_sum_at_golden_is_linear():
@@ -219,6 +278,41 @@ def test_stepping_reuses_the_exact_coordinates(monkeypatch):
     assert back.base.alpha_minus == p.alpha_minus
     assert back.base.alpha_plus == p.alpha_plus
     assert len(calls) <= 2
+
+
+def test_crossings_read_no_coordinate_property(monkeypatch):
+    # a roof reads the exact pair the stepped point carries, so no
+    # crossing evaluates alpha_minus, however many the flow makes
+    point = gauss.NaturalExtPoint
+    evaluated = []
+    moves = {"step": 0, "inverse": 0}
+    prop = point.__dict__["alpha_minus"]
+
+    def counting_alpha(self):
+        evaluated.append(len(self.bwd))
+        return prop.func(self)
+
+    wrapped = cached_property(counting_alpha)
+    wrapped.__set_name__(point, "alpha_minus")
+    monkeypatch.setattr(point, "alpha_minus", wrapped)
+    for name in moves:
+        move = getattr(point, name)
+
+        def counting_move(self, move=move, name=name):
+            moves[name] += 1
+            return move(self)
+
+        monkeypatch.setattr(point, name, counting_move)
+
+    p = sample_mu2(substream(31, 12), depth=800)
+    fp = FlowPoint(p, 0.5 * roof_phi(p))
+    end = flow_evolve(fp, 256.0)
+    back = flow_evolve(end, -256.0)
+    crossings = len(end.base.bwd) - len(p.bwd)
+    assert crossings >= 200
+    assert moves == {"step": crossings, "inverse": crossings}
+    assert evaluated == []  # no roof read the property
+    assert back.base.alpha_minus == p.alpha_minus
 
 
 @settings(max_examples=60, deadline=None)

@@ -270,6 +270,31 @@ def test_vector_window_sampler_is_pinned_bit_for_bit():
     assert digest == "a1c5ec2d334a6258d62877589ab8552c3398aa01e477e55e1d11e6af4b7dc58e"
 
 
+def test_scalar_window_sampler_matches_the_max_floored_loop():
+    # the floor at 1 is a branch now; the ints and the uniforms are unchanged
+    for seed in range(400):
+        rng = substream(seed, 5)
+        y0 = sample_mu1(rng)
+        y, want = y0, []
+        for u in rng.random(60).tolist():
+            a = max(math.ceil((1.0 + y) / (1.0 - u) - 1.0 - y), 1)
+            want.append(a)
+            y = 1.0 / (a + y)
+        got = sample_mu2_window(substream(seed, 5), depth=60)
+        assert got == (y0, tuple(want))
+        assert all(type(a) is int for a in got[1])
+
+
+def test_scalar_window_sampler_floors_a_zero_uniform_at_one():
+    # u = 0 puts the inverse CDF at 0 or a hair either side of it
+    class ZeroUniforms:
+        def random(self, size=None):
+            return 0.25 if size is None else np.zeros(size)
+
+    _, digits = sample_mu2_window(ZeroUniforms(), depth=30)
+    assert digits == (1,) * 30
+
+
 def test_window_sampler_pair_frequencies():
     # consecutive reversed digits are dependent; their joint frequency is
     # the two-sided cylinder mass, not the product of the marginals
