@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cf import renewal_index
 from .errors import InsufficientDigits
-from .gauss import NaturalExtPoint
+from .gauss import NaturalExtPoint, _roof_argument
 
 
 def roof_phi(p: NaturalExtPoint) -> float:
@@ -30,18 +30,14 @@ def roof_phi(p: NaturalExtPoint) -> float:
 
     Equals minus the logarithm of the backward coordinate of step(p),
     since that coordinate is 1/(a_1 + alpha_minus) by construction.
-    alpha_minus is read as n/d off the exact pair that every stepped
-    point carries, the float the ``alpha_minus`` property gives, so a
-    roof crossing in ``flow_evolve`` evaluates no coordinate property.
-    InsufficientDigits for an empty forward window, then for an empty
-    backward one.
+    a_1 and alpha_minus come off the point's digit line and the exact
+    backward pair that every stepped point carries (the float the
+    ``alpha_minus`` property gives), so a roof crossing in
+    ``flow_evolve`` evaluates no coordinate property and cuts no
+    window.  InsufficientDigits for an empty forward window, then for
+    an empty backward one.
     """
-    if not p.fwd:
-        raise InsufficientDigits("digit a_1 outside the cached window")
-    if not p.bwd:
-        raise InsufficientDigits("no backward information")
-    n, d = p._minus_nd
-    return math.log(p.fwd[0] + n / d)
+    return math.log(_roof_argument(p))
 
 
 def _roof_walk(p: NaturalExtPoint, n: int) -> tuple[list[int], list[float]]:

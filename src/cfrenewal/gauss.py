@@ -55,28 +55,49 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class NaturalExtPoint:
-    """A point of the invertible extension, stored as two finite digit windows.
+    """A point of the invertible extension: two finite digit windows.
 
     ``fwd`` holds the future digits (a_1, a_2, ...), ``bwd`` the past
-    digits (a_0, a_-1, ...).  Coordinate values are evaluated at each
-    window's convergent endpoint: exactly the input for a window built
-    from a float, and within 1/q_n**2 of the true value for an n-digit
-    cut of a longer expansion.  Instances are immutable; ``step`` and
-    ``inverse`` return new points and together realize the two-sided
-    digit shift.  A stepped point carries its exact coordinates, so each
-    step costs O(1) big-int work and flowing for time t costs O(t); the
-    carried state is a cache, not a field, and takes no part in ``==``,
-    ``hash`` or ``repr``.  ``flow.roof_phi`` reads the carried backward
-    pair itself, so a roof crossing evaluates neither ``alpha_minus``
-    nor ``alpha_plus``.
+    digits (a_0, a_-1, ...).  Underneath, a point keeps one two-sided
+    digit line, the past reversed and then the future
+    (..., a_-1, a_0, a_1, a_2, ...), and the index of a_1 on it, its
+    origin.  ``step`` and ``inverse`` return a point on the same line
+    with the origin moved by one, so a shift copies no digits, and
+    together they realize the two-sided digit shift.  A point built as
+    ``NaturalExtPoint(bwd, fwd)`` holds both windows, checked by
+    ``cf.digit_window``; a shifted point cuts each window from the line
+    the first time it is read, and keeps it.
+
+    Coordinate values are evaluated at each window's convergent
+    endpoint: exactly the input for a window built from a float, and
+    within 1/q_n**2 of the true value for an n-digit cut of a longer
+    expansion.  A shifted point carries its exact coordinates, the
+    pairs (n, d) with value n/d, so each step costs O(1) big-int work
+    and flowing for time t costs O(t).  ``flow.roof_phi`` reads a_1
+    and the backward pair through ``_roof_argument``, so a roof
+    crossing evaluates neither ``alpha_minus`` nor ``alpha_plus``.
+    Instances are immutable.  Only ``bwd`` and ``fwd`` are fields: the
+    line, the origin and the pairs are caches and take no part in
+    ``==``, ``hash`` or ``repr``, which read (and so cut) both windows.
     """
 
     bwd: tuple[int, ...]
     fwd: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bwd", digit_window(self.bwd))
-        object.__setattr__(self, "fwd", digit_window(self.fwd))
+        _lay_out(self, digit_window(self.bwd), digit_window(self.fwd))
+
+    def __getattr__(self, name: str):
+        # only a shifted point lacks its windows; cut one from the line
+        state = self.__dict__
+        if name not in ("bwd", "fwd") or "_line" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        line, origin = state["_line"], state["_origin"]
+        window = line[origin:] if name == "fwd" else line[:origin][::-1]
+        state[name] = window
+        return window
 
     # -- construction --------------------------------------------------
 
@@ -109,67 +130,106 @@ class NaturalExtPoint:
 
     @cached_property
     def alpha_plus(self) -> float:
-        if not self.fwd:
+        if self._origin == len(self._line):
             raise InsufficientDigits("no forward information")
         n, d = self._plus_nd
         return n / d
 
     @cached_property
     def alpha_minus(self) -> float:
-        if not self.bwd:
+        if not self._origin:
             raise InsufficientDigits("no backward information")
         n, d = self._minus_nd
         return n / d
-
-    def digit(self, k: int) -> int:
-        """Digit a_k by absolute two-sided index (k >= 1 future, k <= 0 past)."""
-        window, offset = (self.fwd, k - 1) if k >= 1 else (self.bwd, -k)
-        if offset >= len(window):
-            raise InsufficientDigits(f"digit a_{k} outside the cached window")
-        return window[offset]
 
     # -- dynamics ------------------------------------------------------
 
     def step(self) -> "NaturalExtPoint":
         """One application of the extension map: shift digits leftward.
 
-        The child's exact coordinates follow in O(1): writing each
-        coordinate as n/d, am' = 1/(a_1 + am) = d/(a_1 d + n) and
+        The origin moves one digit forward along the line.  The child's
+        exact coordinates follow in O(1): writing each coordinate as
+        n/d, am' = 1/(a_1 + am) = d/(a_1 d + n) and
         ap' = 1/ap - a_1 = (d - a_1 n)/n.
         """
-        if not self.fwd:
+        line, origin = self._line, self._origin
+        if origin == len(line):
             raise InsufficientDigits("forward digit window exhausted")
-        a1 = self.fwd[0]
+        a1 = line[origin]
         n, d = self._plus_nd
         plus_nd = (d - a1 * n, n)
         n, d = self._minus_nd
-        return _shifted((a1,) + self.bwd, self.fwd[1:], (d, a1 * d + n), plus_nd)
+        return _shifted(line, origin + 1, (d, a1 * d + n), plus_nd)
 
     def inverse(self) -> "NaturalExtPoint":
         """One application of the inverse map: shift digits rightward.
 
-        The mirror image of ``step``: ap' = d/(a_0 d + n) and
-        am' = (d - a_0 n)/n, each coordinate written as n/d.
+        The mirror image of ``step``: the origin moves one digit back,
+        ap' = d/(a_0 d + n) and am' = (d - a_0 n)/n, each coordinate
+        written as n/d.
         """
-        if not self.bwd:
+        line, origin = self._line, self._origin
+        if not origin:
             raise InsufficientDigits("backward digit window exhausted")
-        a0 = self.bwd[0]
+        a0 = line[origin - 1]
         n, d = self._minus_nd
         minus_nd = (d - a0 * n, n)
         n, d = self._plus_nd
-        return _shifted(self.bwd[1:], (a0,) + self.fwd, minus_nd, (d, a0 * d + n))
+        return _shifted(line, origin - 1, minus_nd, (d, a0 * d + n))
 
 
-def _shifted(bwd, fwd, minus_nd, plus_nd) -> NaturalExtPoint:
-    """A shifted point with its exact coordinates, built without re-validation.
+def _lay_out(point: NaturalExtPoint, bwd: tuple, fwd: tuple) -> None:
+    """Store both windows on point, with the line and origin they make."""
+    point.__dict__.update(bwd=bwd, fwd=fwd, _line=bwd[::-1] + fwd, _origin=len(bwd))
 
-    Its digits are a checked point's digits moved across the origin, so
-    the O(window) check of ``__post_init__`` is skipped; the pairs go
-    where the cached properties keep them.
+
+def _unchecked(bwd, fwd, minus_nd=None, plus_nd=None) -> NaturalExtPoint:
+    """A point on digit windows that need no check, with the exact pairs known.
+
+    Each window must be a window of a checked point or fresh output of
+    ``rational_digits`` or the digit chain, so the O(window) check of
+    ``__post_init__`` is skipped.  A pair given must be the window's
+    value in lowest terms, as ``window_value`` gives it; a pair left
+    out is evaluated from its window when first read.
     """
     point = object.__new__(NaturalExtPoint)
-    point.__dict__.update(bwd=bwd, fwd=fwd, _minus_nd=minus_nd, _plus_nd=plus_nd)
+    _lay_out(point, bwd, fwd)
+    if minus_nd is not None:
+        point.__dict__["_minus_nd"] = minus_nd
+    if plus_nd is not None:
+        point.__dict__["_plus_nd"] = plus_nd
     return point
+
+
+def _shifted(line, origin, minus_nd, plus_nd) -> NaturalExtPoint:
+    """A point on a checked point's line, at a new origin, with its exact pairs.
+
+    No window is copied or re-validated; ``bwd`` and ``fwd`` are cut
+    from the line when first read.
+    """
+    point = object.__new__(NaturalExtPoint)
+    state = point.__dict__  # item stores: faster than update() on this hot path
+    state["_line"] = line
+    state["_origin"] = origin
+    state["_minus_nd"] = minus_nd
+    state["_plus_nd"] = plus_nd
+    return point
+
+
+def _roof_argument(p: NaturalExtPoint) -> float:
+    """a_1 + alpha_minus, read off the line and the exact backward pair.
+
+    The float n/d is the one ``alpha_minus`` gives, but no coordinate
+    property runs.  InsufficientDigits for an empty forward window,
+    then for an empty backward one.
+    """
+    line, origin = p._line, p._origin
+    if origin == len(line):
+        raise InsufficientDigits("digit a_1 outside the cached window")
+    if not origin:
+        raise InsufficientDigits("no backward information")
+    n, d = p._minus_nd
+    return line[origin] + n / d
 
 
 def gauss_map(x: float) -> float:
@@ -308,7 +368,8 @@ def sample_mu2(rng: np.random.Generator, size=None, depth: int = 48):
     """
     if size is None:
         y0, digs = sample_mu2_window(rng, depth)
-        return NaturalExtPoint(rational_digits(y0), digs)
+        # every digit of y0 is the past, so its exact value is y0's own ratio
+        return _unchecked(rational_digits(y0), digs, minus_nd=y0.as_integer_ratio())
     plus = sample_mu1(rng, size)
     v = rng.random(size)
     minus = v / (1.0 + plus * (1.0 - v))

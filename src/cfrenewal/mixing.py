@@ -41,17 +41,27 @@ from .gauss import (
     NaturalExtPoint,
     _compact,
     _draw_digits,
+    _unchecked,
     sample_mu2,  # noqa: F401  (bench/tracing.py wraps mixing.sample_mu2 by name)
 )
 from .streams import CHUNK, chunk_sizes, run_chunks, substream
 
 
+# A leaf move keeps one window of a checked point and expands the new
+# coordinate in full, so neither window needs checking; the kept side's
+# exact pair carries over, and the new side's is the value's own ratio.
+
+
 def _replace_minus(p: NaturalExtPoint, new_minus: float) -> NaturalExtPoint:
-    return NaturalExtPoint(rational_digits(new_minus), p.fwd)
+    return _unchecked(
+        rational_digits(new_minus), p.fwd, new_minus.as_integer_ratio(), p._plus_nd
+    )
 
 
 def _replace_plus(p: NaturalExtPoint, new_plus: float) -> NaturalExtPoint:
-    return NaturalExtPoint(p.bwd, rational_digits(new_plus))
+    return _unchecked(
+        p.bwd, rational_digits(new_plus), p._minus_nd, new_plus.as_integer_ratio()
+    )
 
 
 def stable_leaf_point(base: FlowPoint, alpha_minus_new: float) -> FlowPoint:
@@ -135,7 +145,8 @@ def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
         raise ValueError("t must be non-negative")
     q1 = flow_evolve(fp1, t)
     q2 = flow_evolve(fp2, t)
-    # each step() prepends one past digit, so crossings = growth of bwd
+    # each step() moves the origin one digit along the point's line, so
+    # crossings = growth of bwd; reading it cuts each flowed past once
     n1 = len(q1.base.bwd) - len(fp1.base.bwd)
     n2 = len(q2.base.bwd) - len(fp2.base.bwd)
 

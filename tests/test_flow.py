@@ -51,8 +51,11 @@ def test_roof_is_log_of_shifted_digit(am, ap):
 
 
 def _roof_by_property(p):
-    # the roof through the digit and the public coordinate property
-    return math.log(p.digit(1) + p.alpha_minus)
+    # the roof through the first future digit and the public coordinate
+    # property; an empty forward window raises as roof_phi does
+    if not p.fwd:
+        raise InsufficientDigits("digit a_1 outside the cached window")
+    return math.log(p.fwd[0] + p.alpha_minus)
 
 
 def _walk_roofs(p, moves):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrenewal.cf import evaluate_cf
+from cfrenewal.cf import evaluate_cf, rational_digits, window_value
 from cfrenewal.errors import (
     CFRenewalError,
     InsufficientDigits,
@@ -28,6 +29,7 @@ from cfrenewal.gauss import (
     sample_mu2,
     sample_mu2_window,
 )
+from cfrenewal.flow import roof_phi
 from cfrenewal.streams import substream
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -57,14 +59,14 @@ def test_golden_point_is_fixed_by_the_shift():
     s = p.step()
     assert s.alpha_minus == pytest.approx(GOLDEN, abs=1e-15)
     assert s.alpha_plus == pytest.approx(GOLDEN, abs=1e-15)
-    assert p.digit(1) == 1
+    assert p.fwd[0] == 1
 
 
 def test_silver_point_is_fixed_by_the_shift():
     p = NaturalExtPoint((2,) * 96, (2,) * 96)
     s = p.step()
     root = math.sqrt(2) - 1
-    assert p.digit(1) == 2
+    assert p.fwd[0] == 2
     assert s.alpha_minus == pytest.approx(root, abs=1e-15)
     assert s.alpha_plus == pytest.approx(root, abs=1e-15)
 
@@ -82,9 +84,9 @@ def test_step_of_golden_and_pi_point():
 def test_step_shifts_the_digit_window():
     p = NaturalExtPoint.from_values(0.2813019006621409, 0.28652679589925867)
     s = p.step()
-    assert s.digit(0) == p.digit(1)
-    assert s.digit(1) == p.digit(2)
-    assert s.digit(-1) == p.digit(0)
+    assert s.bwd[0] == p.fwd[0]
+    assert s.fwd[0] == p.fwd[1]
+    assert s.bwd[1] == p.bwd[0]
 
 
 def test_projection_commutes_with_the_shift():
@@ -190,6 +192,114 @@ def test_stepped_points_carry_bit_identical_coordinates(start, moves):
         p = q
 
 
+def _reference_move(bwd, fwd, forward):
+    """The windows one step (forward) or inverse gives, by tuple copies."""
+    if forward:
+        if not fwd:
+            raise InsufficientDigits("forward digit window exhausted")
+        return (fwd[0],) + bwd, fwd[1:]
+    if not bwd:
+        raise InsufficientDigits("backward digit window exhausted")
+    return bwd[1:], (bwd[0],) + fwd
+
+
+def _outcome(read):
+    """read()'s value, or its exception's type and message."""
+    try:
+        return read()
+    except CFRenewalError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_readings(bwd, fwd):
+    """alpha_minus, alpha_plus and the roof of the point on these windows.
+
+    Each coordinate is the correctly rounded value of its window, and a
+    reading with no digits to stand on raises as the package does.
+    """
+
+    def value(window, side):
+        if not window:
+            raise InsufficientDigits(f"no {side} information")
+        n, d = window_value(window)
+        return n / d
+
+    def roof():
+        if not fwd:
+            raise InsufficientDigits("digit a_1 outside the cached window")
+        return math.log(fwd[0] + value(bwd, "backward"))
+
+    return (
+        _outcome(lambda: value(bwd, "backward")),
+        _outcome(lambda: value(fwd, "forward")),
+        _outcome(roof),
+    )
+
+
+def _readings(p):
+    return (
+        _outcome(lambda: p.alpha_minus),
+        _outcome(lambda: p.alpha_plus),
+        _outcome(lambda: roof_phi(p)),
+    )
+
+
+_line_walk_starts = st.one_of(
+    st.tuples(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=1e-3, max_value=0.999),
+    ).map(lambda am_ap: NaturalExtPoint.from_values(*am_ap)),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 40)).map(
+        lambda seed_depth: sample_mu2(substream(seed_depth[0], 15), depth=seed_depth[1])
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=_line_walk_starts, moves=st.lists(st.booleans(), max_size=120))
+def test_a_walk_along_the_line_reads_as_a_fresh_point(start, moves):
+    # a shifted point keeps the shared line and its carried pairs; read
+    # before its windows are cut and after, it must be the point built
+    # fresh from the windows that tuple copies give, and a move off the
+    # end of a window must raise as on plain windows
+    p, windows = start, (start.bwd, start.fwd)
+    for forward in moves:
+        move = p.step if forward else p.inverse
+        try:
+            windows = _reference_move(*windows, forward)
+        except InsufficientDigits as exc:
+            with pytest.raises(InsufficientDigits) as raised:
+                move()
+            assert str(raised.value) == str(exc)
+            continue
+        p = move()
+        assert _readings(p) == _reference_readings(*windows)
+        fresh = NaturalExtPoint(*windows)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert (p.bwd, p.fwd) == windows
+        assert _readings(p) == _readings(fresh)
+
+
+def test_stepped_points_share_one_digit_line():
+    # a step copies no window: 500 points stepped from a 20,000-digit
+    # forward window hold one line between them, not 500 copies of it
+    # (about 80 MB); what remains is each point's own exact pairs
+    _, digits = sample_mu2_window(substream(41, 0), 20_000)
+    p = NaturalExtPoint(rational_digits(0.3), digits)
+    assert p.alpha_minus == 0.3 and p.alpha_plus > 0.0  # evaluate both pairs first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = [p]
+        for _ in range(500):
+            points.append(points[-1].step())
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert points[-1].bwd[:500] == digits[499::-1]
+    assert grown < 5_000_000, grown
+
+
 # -- invariant measure of the interval map -----------------------------
 
 
@@ -236,8 +346,8 @@ def test_two_sided_sampler_scalar_carries_digit_window():
     p = sample_mu2(rng, depth=48)
     assert 0.0 < p.alpha_minus < 1.0
     assert 0.0 < p.alpha_plus < 1.0
-    assert p.digit(1) == math.floor(1.0 / p.alpha_plus)
-    assert p.digit(0) == math.floor(1.0 / p.alpha_minus)
+    assert p.fwd[0] == math.floor(1.0 / p.alpha_plus)
+    assert p.bwd[0] == math.floor(1.0 / p.alpha_minus)
 
 
 def test_two_sided_sampler_vector_marginals():
@@ -333,7 +443,7 @@ def test_cylinder_intervals_nest(digits, extra):
     digits=st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=8)
 )
 def test_cylinder_interval_contains_its_point(digits):
-    from cfrenewal.cf import evaluate_cf
+    from cfrenewal.cf import evaluate_cf, rational_digits, window_value
 
     lo, hi = interval_for_digits(digits)
     x = evaluate_cf(digits)

@@ -12,7 +12,9 @@ A public name, one defined at the top of a package module without a
 leading underscore, must be read by something other than its own
 definition, the package's ``__init__`` and the tests: a package module,
 a demo, or a benchmark file, where a string counts too, since the
-tracer wraps functions by name.
+tracer wraps functions by name.  Likewise every public method,
+property and classmethod of a package class must be read as an
+attribute somewhere outside its own definition and the tests.
 
 A parameter with a default must be set by some call outside the tests,
 or it is a constant in disguise.  And ``import cfrenewal`` must not load
@@ -23,6 +25,7 @@ import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +196,98 @@ def test_every_public_name_has_a_user():
         outside |= read_names(ast.parse(path.read_text()), strings=True)
     modules = {path.stem: path.read_text() for path in MODULES}
     assert unused_public_names(modules, outside) == []
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often node reads each attribute name, as in ``x.name``."""
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unused_public_members(modules: dict[str, str], outside: set[str]) -> list[str]:
+    """``module.Class.member`` for each public member that nothing reads.
+
+    A member is a method, property or classmethod, defined without a
+    leading underscore in a class at the top of a module.  It has a user
+    when some package module reads its name as an attribute outside the
+    member's own definition, or when outside holds the name.  Names are
+    matched, not types, so a member shares its users with every member
+    of that name; a local variable of the same name is no user.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("_") or name in outside:
+                    continue
+                if reads[name] == attribute_reads(member)[name]:
+                    unused.append(f"{module}.{cls.name}.{name}")
+    return unused
+
+
+# members that only the tests read, kept on purpose: ROADMAP item 6
+# deletes FixedReal, which nothing in the package builds, with its tests
+MEMBERS_UNUSED_ON_PURPOSE = {
+    "fixedreal.FixedReal.from_sqrt",
+    "fixedreal.FixedReal.contains",
+    "fixedreal.FixedReal.sub_int",
+    "fixedreal.FixedReal.recip_shift",
+}
+
+
+def test_the_check_finds_an_unused_member():
+    modules = {
+        "a": (
+            "class Point:\n"
+            "    def step(self):\n"
+            "        return self._private()\n"
+            "    def shift(self, k):\n"
+            "        return self.shift(k - 1) if k else self\n"
+            "    @property\n"
+            "    def digit(self):\n"
+            "        return 1\n"
+            "    @classmethod\n"
+            "    def origin(cls):\n"
+            "        return cls()\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "def walk(p):\n"
+            "    digit = 3\n"
+            "    return p.step(), digit\n"
+        ),
+        "b": "from .a import Point\nPoint.origin()\n",
+    }
+    # shift reads only itself, and digit is only a local variable elsewhere
+    assert unused_public_members(modules, outside=set()) == ["a.Point.shift", "a.Point.digit"]
+    assert unused_public_members(modules, outside={"shift", "digit"}) == []
+
+
+def test_every_public_member_has_a_user():
+    outside = set()
+    for path in DEMOS:
+        outside |= set(attribute_reads(ast.parse(path.read_text())))
+    for path in BENCH:
+        tree = ast.parse(path.read_text())
+        outside |= set(attribute_reads(tree)) | {
+            n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        }
+    modules = {path.stem: path.read_text() for path in MODULES}
+    unused = set(unused_public_members(modules, outside))
+    # an entry whose member gains a user, or goes, leaves the list
+    assert sorted(MEMBERS_UNUSED_ON_PURPOSE - unused) == []
+    assert sorted(unused - MEMBERS_UNUSED_ON_PURPOSE) == []
 
 
 def generator_names(source: str) -> list[str]:
