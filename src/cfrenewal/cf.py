@@ -138,9 +138,10 @@ def rational_digits(x: Union[float, Fraction]) -> tuple[int, ...]:
     A float is read as the dyadic rational it is, so its expansion
     terminates (after 20 to 48 digits for typical values) and
     ``window_value`` gives x back exactly.  0 has the empty window.
+    Floats and Fractions both give their lowest terms through
+    ``as_integer_ratio``, with no Fraction built.
     """
-    frac = Fraction(x)
-    num, den = frac.numerator, frac.denominator
+    num, den = x.as_integer_ratio()
     if not 0 <= num < den:
         raise ValueError(f"x must lie in [0, 1), got {x!r}")
     out = []

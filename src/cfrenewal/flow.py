@@ -2,27 +2,28 @@
 
 Above each point x of the invertible extension sits a vertical fiber of
 height phi(x) = ln(a_1 + alpha_minus), and the flow moves upward with
-unit speed, jumping from (x, phi(x)) to (step(x), 0).  The sum of roof
-values along r steps is the Birkhoff sum S_r, and the key quantitative
-fact is that ln q_n differs from S_n by a correction
-
-    f_n = ln q_n - S_n,
-
-which converges at rate |f_{k+1} - f_k| <= 2**(2-k) to a limit f, with
-|f - f_n| <= 2**(3-n).  The correction is what aligns the denominator
-threshold crossing (the renewal index n_R at level R) with the flow's
-time crossing (the renewal time r at level ln R - f), which is the
-mechanism behind the limiting overshoot law.
+unit speed, jumping from (x, phi(x)) to (step(x), 0).  A step maps the
+backward pair (n, d) = alpha_minus to (d, a_1 d + n), so the Birkhoff
+sum of r roofs is S_r = ln(d_r/d_0) = ln q_r + log1p(alpha_minus p_r/q_r),
+p_r/q_r the r-th forward convergent: the natural-extension form of
+x Gx ... G^(r-1)x = 1/(q_r + q_(r-1) G^r x) (Iosifescu and Kraaikamp,
+Metrical Theory of Continued Fractions, 2002).  So the correction
+f_r = ln q_r - S_r = -log1p(alpha_minus p_r/q_r) tends to
+f = -log1p(alpha_minus alpha_plus), with |f - f_r| <= 1/(q_r q_(r+1)).
+It aligns the denominator crossing (the renewal index n_R at level R)
+with the flow's time crossing (the renewal time r at level ln R - f),
+the mechanism behind the limiting overshoot law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .cf import renewal_index
+from .cf import convergents, renewal_index, window_value
 from .errors import InsufficientDigits
-from .gauss import NaturalExtPoint, _roof_argument
+from .gauss import LN2, NaturalExtPoint, _roof_argument
 
 
 def roof_phi(p: NaturalExtPoint) -> float:
@@ -40,80 +41,83 @@ def roof_phi(p: NaturalExtPoint) -> float:
     return math.log(_roof_argument(p))
 
 
-def _roof_walk(p: NaturalExtPoint, n: int) -> tuple[list[int], list[float]]:
-    """Denominators q_k and Birkhoff sums S_k for k = 1, ..., n.
+def _backward_pair(p: NaturalExtPoint, n: int) -> tuple[int, int]:
+    """alpha_minus as (n0, d0); InsufficientDigits for < n future digits or no past."""
+    have = len(p._line) - p._origin  # the forward window's length, left uncut
+    if have < n:
+        raise InsufficientDigits(f"need {n} future digits, have {have}")
+    if not p._origin:
+        raise InsufficientDigits("no backward information")
+    return p._minus_nd
 
-    The roof values come from the backward-coordinate chain
-    y' = 1/(a + y), at a fraction of the cost of stepping the point.
-    The chain contracts rounding errors, so each y stays within a few
-    ulp of the exact backward coordinate that stepping reads.
-    InsufficientDigits if the forward window holds fewer than n digits.
-    """
-    if len(p.fwd) < n:
-        raise InsufficientDigits(f"need {n} future digits, have {len(p.fwd)}")
-    y = p.alpha_minus
-    q_prev, q_cur = 0, 1
-    s = 0.0
-    qs, sums = [], []
-    for a in p.fwd[:n]:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        s += math.log(a + y)
-        y = 1.0 / (a + y)
-        qs.append(q_cur)
-        sums.append(s)
-    return qs, sums
+
+def _sum(p_r: int, q_r: int, n0: int, d0: int) -> float:
+    """S_r = ln q_r + log1p(n0 p_r / (d0 q_r)); exact ints, so q_r may pass 1e308."""
+    return math.log(q_r) + math.log1p(n0 * p_r / (d0 * q_r))
 
 
 def birkhoff_sum(p: NaturalExtPoint, r: int) -> float:
-    """S_r = sum of roof values along the first r shift iterates.
+    """S_r = ln q_r + log1p(alpha_minus p_r/q_r), the sum of r roof values.
 
-    Read off the roof-sum walk; it agrees with the sum of stepped roof
-    values up to rounding, not bit for bit (on sampled points with
-    r = 30, a relative gap of at most about 2e-16).
+    It matches the sum of stepped roofs up to their rounding;
+    InsufficientDigits as ``correction_f`` raises it, for r digits.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     if r == 0:
         return 0.0
-    return _roof_walk(p, r)[1][-1]
+    n0, d0 = _backward_pair(p, r)
+    return _sum(*window_value(p.fwd[:r]), n0, d0)
 
 
 @dataclass(frozen=True)
 class CorrectionSeries:
-    """Partial corrections f_n, their limit, and the truncation bound."""
+    """The limit f, the partials f_n = ln q_n - S_n, read lazily, and their bound."""
 
-    partials: tuple[float, ...]
     limit: float
     error_bound: float
+    _point: NaturalExtPoint = field(repr=False)
+    _terms: int = field(repr=False)
+
+    @cached_property
+    def partials(self) -> tuple[float, ...]:
+        n0, d0 = self._point._minus_nd
+        cs = convergents(self._point.fwd[: self._terms])
+        return tuple(math.log(c.q) - _sum(c.p, c.q, n0, d0) for c in cs)
 
 
 def correction_f(p: NaturalExtPoint, tol: float = 1e-9) -> CorrectionSeries:
-    """Correction f = lim (ln q_n - S_n), truncated once 2**(3-n) < tol."""
+    """Correction f = lim (ln q_n - S_n) = -log1p(alpha_minus alpha_plus).
+
+    The limit divides the point's exact pairs once and reads no digit.
+    The partials run to the first n with error_bound = 2**(3-n) < tol, a
+    bound on |limit - partials[-1]|; InsufficientDigits if the forward
+    window is shorter, then if the point has no past.
+    """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n_stop = max(1, math.floor(3.0 - math.log2(tol)) + 1)
-    qs, sums = _roof_walk(p, n_stop)
-    partials = tuple(math.log(q) - s for q, s in zip(qs, sums))
-    return CorrectionSeries(
-        partials=partials,
-        limit=partials[-1],
-        error_bound=2.0 ** (3 - n_stop),
-    )
+    n0, d0 = _backward_pair(p, n_stop)
+    n, d = p._plus_nd
+    limit = -math.log1p(n0 * n / (d0 * d))
+    return CorrectionSeries(limit, 2.0 ** (3 - n_stop), p, n_stop)
 
 
 def renewal_time(p: NaturalExtPoint, t: float) -> int:
     """Smallest r with S_r > t.  For t < phi(p) this is 1.
 
-    Raises InsufficientDigits when the forward window ends first.
+    Decides S_r > t from the expression ``birkhoff_sum`` returns; as
+    S_r < ln q_r + ln 2, an r with bit_length(q_r) ln 2 + 1 <= t needs
+    no log.  InsufficientDigits with no past, or when the window ends.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t!r}")
-    y = p.alpha_minus
-    total = 0.0
+    n0, d0 = _backward_pair(p, 0)
+    p0, q0, p1, q1 = 1, 0, 0, 1
     for r, a in enumerate(p.fwd, start=1):
-        total += math.log(a + y)
-        y = 1.0 / (a + y)
-        if total > t:
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if q1.bit_length() * LN2 + 1.0 > t and _sum(p1, q1, n0, d0) > t:
             return r
     raise InsufficientDigits(f"S_r stays <= t={t} over all {len(p.fwd)} future digits")
 
@@ -172,27 +176,35 @@ def flow_evolve(fp: FlowPoint, t: float) -> FlowPoint:
     height 0, and a backward run that ends within 2^-40 below the floor
     stops at height 0.  |t| is at most 256, within which the summed
     roundoff stays far inside that band; a larger or non-finite t
-    raises ValueError.
+    raises ValueError.  Leaving a digit window raises InsufficientDigits
+    naming t, the crossings made and the start point's window lengths.
     """
     _check_time(t, "t")
     base = fp.base
     y = fp.height + t
-    if t >= 0:
-        while True:
-            phi = roof_phi(base)
-            if y < phi - _SNAP:
-                break
-            y -= phi
-            if y < 0.0:
-                y = 0.0
-            base = base.step()
-    else:
-        while y < 0.0:
-            if y > -_SNAP:
-                y = 0.0
-                break
-            base = base.inverse()
-            y += roof_phi(base)
+    try:
+        if t >= 0:
+            while True:
+                phi = roof_phi(base)
+                if y < phi - _SNAP:
+                    break
+                y -= phi
+                if y < 0.0:
+                    y = 0.0
+                base = base.step()
+        else:
+            while y < 0.0:
+                if y > -_SNAP:
+                    y = 0.0
+                    break
+                base = base.inverse()
+                y += roof_phi(base)
+    except InsufficientDigits as exc:
+        start = fp.base._origin  # each crossing moved the origin by one
+        raise InsufficientDigits(
+            f"{exc}: flow for t={t!r} made {abs(base._origin - start)} crossings from "
+            f"a point with {start} past and {len(fp.base._line) - start} future digits"
+        ) from exc
     return FlowPoint(base, y)
 
 
@@ -213,23 +225,18 @@ def renewal_vs_flow_check(
 ) -> RenewalFlowReport:
     """Does q_n first exceed R exactly when S_r first exceeds ln R - f_ref?
 
-    Also reports the defect |ln q_{n_R} - S_{n_R} - f(p)|, which the
-    correction estimates bound by 2**(3 - n_R).
+    Also reports the defect |f_n - f| at n = n_R, one log1p of an exact
+    rational, which is at most 1/(q_n q_(n+1)) and so within 2**(3 - n_R).
     """
-    res = renewal_index(p.fwd, R)
-    n_R = res.n_R
+    n_R = renewal_index(p.fwd, R).n_R
     T = math.log(R) - f_ref
     r = renewal_time(p, T)
-    # one walk gives S_(n_R) and f to within 2**(-n_R - 8), which takes
-    # n_R + 12 digits (the series length of correction_f at that tol)
-    qs, sums = _roof_walk(p, n_R + 12)
-    f_here = math.log(qs[-1]) - sums[-1]
-    defect = abs(math.log(res.q_nR) - sums[n_R - 1] - f_here)
+    n0, d0 = p._minus_nd
+    pn, pd = p._plus_nd
+    p_n, q_n = window_value(p.fwd[:n_R])
+    # f_n - f = log1p(am ap) - log1p(am p_n/q_n) with am = n0/d0, ap = pn/pd
+    defect = abs(math.log1p(n0 * (p_n * pd - pn * q_n) / (q_n * (d0 * pd + n0 * pn))))
     return RenewalFlowReport(
-        n_R=n_R,
-        renewal_r=r,
-        T=T,
-        agree=(n_R == r),
-        defect=defect,
-        defect_bound=2.0 ** (3 - n_R),
+        n_R=n_R, renewal_r=r, T=T, agree=(n_R == r),
+        defect=defect, defect_bound=2.0 ** (3 - n_R),
     )

@@ -8,10 +8,11 @@ are seeded and deterministic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from cfrenewal.cf import convergents, renewal_index
+from cfrenewal.cf import convergents, renewal_index, window_value
 from cfrenewal.errors import OutOfChart
 from cfrenewal.flow import FlowPoint, correction_f, flow_evolve, roof_phi
 from cfrenewal.gauss import (
@@ -76,20 +77,31 @@ def test_criterion_02_growth_constant_by_quadrature_and_simulation():
 def test_criterion_03_correction_series_contracts_geometrically():
     rng = substream(303, 0)
     worst = 0.0
+    worst_tail = 0.0
     for _ in range(1000):
         p = sample_mu2(rng, depth=48)
-        ps = correction_f(p, tol=1e-12).partials
+        series = correction_f(p, tol=1e-12)
+        ps = series.partials
         for k in range(min(len(ps) - 1, 40)):
             gap = abs(ps[k + 1] - ps[k]) * 2.0 ** k
             worst = max(worst, gap)
-    ok = worst <= 4.0
+        # each partial f_n lies within the truncation 1/(q_n q_(n+1)) of the
+        # closed-form limit, plus 2^-51 (ln q_n + 1) for rounding ln q_n - S_n
+        # (the rounding measured at most a quarter of that allowance)
+        qs = [c.q for c in convergents(p.fwd[: len(ps) + 1])]
+        for k, f_n in enumerate(ps):
+            bound = 1.0 / (qs[k] * qs[k + 1]) + 2.0 ** -51 * (math.log(qs[k]) + 1.0)
+            worst_tail = max(worst_tail, abs(f_n - series.limit) / bound)
+    ok = worst <= 4.0 and worst_tail <= 1.0
     _report(3, ok, f"sup 2^k |f_(k+1) - f_k| = {worst:.3f} over 1000 points "
-                   f"(tol 4 = 2^2)")
+                   f"(tol 4 = 2^2); sup |f_n - f| / (1/(q_n q_(n+1)) + "
+                   f"2^-51 (ln q_n + 1)) = {worst_tail:.3f} (tol 1)")
 
 
 def test_criterion_04_correction_depends_weakly_on_far_digits():
     rng = substream(404, 0)
     worst = 0.0
+    worst_shift = 0.0
     for n in (5, 10, 15, 20):
         for _ in range(250):
             p1 = sample_mu2(rng, depth=48)
@@ -102,9 +114,18 @@ def test_criterion_04_correction_depends_weakly_on_far_digits():
             )
             gap = abs(correction_f(p1).limit - correction_f(q2).limit)
             worst = max(worst, gap * 2.0 ** n / 16.0)
-    ok = worst <= 1.0
+            # f = -log1p(am ap) moves by at most |d am| + |d ap|, as both its
+            # partial derivatives are below 1 in size; 2^-51 allows for the
+            # rounding of the two limits (the rounding measured 4.8e-17)
+            shift = sum(
+                abs(Fraction(*window_value(a)) - Fraction(*window_value(b)))
+                for a, b in ((p1.bwd, q2.bwd), (p1.fwd, q2.fwd))
+            )
+            worst_shift = max(worst_shift, gap / (float(shift) + 2.0 ** -51))
+    ok = worst <= 1.0 and worst_shift <= 1.0
     _report(4, ok, f"sup |df| / (16 * 2^-n) = {worst:.4f} over 1000 pairs, "
-                   f"n in (5, 10, 15, 20)")
+                   f"n in (5, 10, 15, 20); sup |df| / (|d am| + |d ap| + 2^-51) "
+                   f"= {worst_shift:.4f} (tol 1)")
 
 
 def test_criterion_05_crossing_index_brackets_the_threshold():

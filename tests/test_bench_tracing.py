@@ -62,7 +62,7 @@ def test_exact_ops_reproduce_their_pinned_outputs(monkeypatch, tmp_path):
     work = workloads.Exact(7, tmp_path)
     outputs = [work.op(work.next_inputs()) for _ in range(50)]
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
-    assert digest == "3674e2f5cff5ae353276c7dedaee45d197d5ace6ff3bd676056928f8d1535282"
+    assert digest == "8d091cb0e2b0f8697dae413209ac208bd5afe5d9ec05ba765e288b9ad8bf2758"
 
 
 def test_traced_overshoot_pass_passes_its_check(monkeypatch, tmp_path):

@@ -584,6 +584,17 @@ def test_mixing_checks_every_time_before_the_first_estimate(
     assert not out.exists()
 
 
+def test_a_flow_that_runs_out_of_past_names_its_budget(capsys):
+    # this exited 2 with only "no backward information": the past of a
+    # sampled point is the binary64 expansion of its backward coordinate
+    assert main(["flow", "--t", "-40", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no backward information: flow for t=-36.0 made 28 crossings "
+        "from a point with 28 past and 64 future digits\n"
+    )
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_flow_rejects_fewer_than_one_step(steps, capsys):
     assert main(["flow", "--seed", "9", "--t", "2.0", "--steps", steps]) == 1

@@ -19,7 +19,7 @@ README = ROOT / "README.md"
 DEMO_DIGESTS = {
     "01_expansion_basics.py": "0f3105ed1a167a90fa6f073b5825995f9e5ca44ca17fbd79ecc22e1cae70b482",
     "02_invariant_measures.py": "9bda3648e55c485475933981d2c4db1dfb08cd88fe2835213d0f27097c5652a1",
-    "03_special_flow.py": "a134252c9405738c46ae7418b61d3be934b03839bcdec951c79f195038126c1c",
+    "03_special_flow.py": "48a17f74e35ac07e166f6719fa9806c2c91e744a7abaab2c80218eba45ceaf82",
     "04_renewal_law.py": "4d33fb0dc1092bc5a7554693cfa75cc8aabee92fcc5275bcecc1f2cab6491dd6",
     "05_mixing.py": "03b43818dc1560d4e259cdf08d9e65c96ddee1db48a040cbee6418e54d097a4c",
 }
