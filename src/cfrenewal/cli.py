@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -255,14 +256,14 @@ def cmd_flow(args) -> int:
     point = sample_mu2(rng, depth=depth)
     fp = FlowPoint(point, 0.0)
     steps = args.steps
+    end = flow_evolve(fp, args.t)  # first, so a failure names the time asked for
     rows = ["t,alpha_minus,alpha_plus,height"]
     for i in range(steps + 1):
         t_i = args.t * i / steps
-        cur = flow_evolve(fp, t_i)
+        cur = end if t_i == args.t else flow_evolve(fp, t_i)
         rows.append(
             f"{t_i!r},{cur.base.alpha_minus!r},{cur.base.alpha_plus!r},{cur.height!r}"
         )
-    end = flow_evolve(fp, args.t)
     back = flow_evolve(end, -args.t)
     defect = max(
         abs(back.base.alpha_minus - fp.base.alpha_minus),
@@ -303,6 +304,7 @@ def cmd_mixing(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
+@cache  # built once per process: nothing mutates the parser after it is built
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cfrenewal",

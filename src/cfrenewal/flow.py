@@ -165,6 +165,62 @@ def _check_time(t: float, name: str) -> None:
         )
 
 
+def _walk(
+    fp: FlowPoint, t: float
+) -> tuple[int, tuple[int, int], tuple[int, int], float]:
+    """``flow_evolve``'s crossings on integers: (origin, minus_nd, plus_nd, height).
+
+    The origin is the end point's index on the start point's digit line,
+    and the pairs are its exact coordinates, so the end point is
+    ``gauss._shifted(fp.base._line, *result[:3])``.  A crossing moves
+    both pairs as ``step`` and ``inverse`` do and subtracts or adds the
+    roof ``roof_phi`` would read, in the same order and with the same
+    snap, so the height is bit-identical; errors are ``flow_evolve``'s,
+    word for word.  No point is built.
+    """
+    _check_time(t, "t")
+    base = fp.base
+    line = base._line
+    origin = start = base._origin
+    mn, md = base._minus_nd
+    pn, pd = base._plus_nd
+    y = fp.height + t
+    try:
+        if t >= 0:
+            end = len(line)
+            while True:
+                if origin == end:
+                    raise InsufficientDigits("digit a_1 outside the cached window")
+                a = line[origin]
+                phi = math.log(a + mn / md)
+                if y < phi - _SNAP:
+                    break
+                y -= phi
+                if y < 0.0:
+                    y = 0.0
+                mn, md = md, a * md + mn
+                pn, pd = pd - a * pn, pn
+                origin += 1
+        else:
+            while y < 0.0:
+                if y > -_SNAP:
+                    y = 0.0
+                    break
+                origin -= 1  # at least 1: a flow point has a past
+                a = line[origin]
+                mn, md = md - a * mn, mn
+                pn, pd = pd, a * pd + pn
+                if not origin:
+                    raise InsufficientDigits("no backward information")
+                y += math.log(a + mn / md)
+    except InsufficientDigits as exc:
+        raise InsufficientDigits(
+            f"{exc}: flow for t={t!r} made {abs(origin - start)} crossings from "
+            f"a point with {start} past and {len(line) - start} future digits"
+        ) from exc
+    return origin, (mn, md), (pn, pd), y
+
+
 def flow_evolve(fp: FlowPoint, t: float) -> FlowPoint:
     """Unit-speed vertical motion for time t (either sign).
 

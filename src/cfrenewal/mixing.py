@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import digit_window, rational_digits
-from .errors import OutOfChart, Unreachable, sample_count
-from .flow import FlowPoint, flow_evolve, roof_phi
+from .errors import InsufficientDigits, OutOfChart, Unreachable, sample_count
+from .flow import FlowPoint, _walk
 from .gauss import (
     NaturalExtPoint,
     _compact,
@@ -136,30 +136,43 @@ def connect_via_leaves(start: FlowPoint, target: FlowPoint) -> tuple[FlowPoint, 
 def flow_pair_distance(fp1: FlowPoint, fp2: FlowPoint, t: float) -> float:
     """Coordinate distance of two orbits at time t, itinerary-aligned.
 
-    Both points are flowed by t; if one has crossed the roof once more
-    than the other, the laggard is re-expressed in the later chart so
-    the comparison never straddles a crossing.  Returns the max of the
-    three coordinate differences.
+    Both points are flowed by t; if one has crossed the roof more often
+    than the other, the laggard makes the extra crossings too, so the
+    comparison never straddles one.  Returns the max of the three
+    coordinate differences.  Each orbit runs on its start point's digit
+    line and exact pairs, as ``flow_evolve`` would, and no point is built.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    q1 = flow_evolve(fp1, t)
-    q2 = flow_evolve(fp2, t)
-    # each step() moves the origin one digit along the point's line, so
-    # crossings = growth of bwd; reading it cuts each flowed past once
-    n1 = len(q1.base.bwd) - len(fp1.base.bwd)
-    n2 = len(q2.base.bwd) - len(fp2.base.bwd)
-
-    def coords(fp: FlowPoint, extra: int) -> tuple[float, float, float]:
-        base, y = fp.base, fp.height
-        for _ in range(extra):
-            y -= roof_phi(base)
-            base = base.step()
-        return base.alpha_minus, base.alpha_plus, y
-
-    c1 = coords(q1, max(0, n2 - n1))
-    c2 = coords(q2, max(0, n1 - n2))
+    end1 = _walk(fp1, t)
+    end2 = _walk(fp2, t)
+    # each crossing moved the origin one digit along the point's line
+    n1 = end1[0] - fp1.base._origin
+    n2 = end2[0] - fp2.base._origin
+    c1 = _coords(fp1.base._line, *end1, max(0, n2 - n1))
+    c2 = _coords(fp2.base._line, *end2, max(0, n1 - n2))
     return max(abs(a - b) for a, b in zip(c1, c2))
+
+
+def _coords(line, origin, minus_nd, plus_nd, y, extra):
+    """(alpha_minus, alpha_plus, height) after ``extra`` more roof crossings.
+
+    Each crossing subtracts the roof and steps the pairs as ``_walk``
+    does; InsufficientDigits as ``roof_phi`` and ``alpha_plus`` raise it
+    when the forward window runs out.
+    """
+    (mn, md), (pn, pd) = minus_nd, plus_nd
+    for _ in range(extra):
+        if origin == len(line):
+            raise InsufficientDigits("digit a_1 outside the cached window")
+        a = line[origin]
+        y -= math.log(a + mn / md)
+        mn, md = md, a * md + mn
+        pn, pd = pd - a * pn, pn
+        origin += 1
+    if origin == len(line):
+        raise InsufficientDigits("no forward information")
+    return mn / md, pn / pd, y
 
 
 # -- correlation decay -------------------------------------------------

@@ -10,7 +10,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from cfrenewal import mixing
+from cfrenewal import flow, gauss, mixing
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -51,6 +51,12 @@ def test_traced_exact_op_passes_its_check(monkeypatch, tmp_path):
     assert work.check(result) is None
     assert repr(result) == repr(expected)
     assert tracer.crossings() > 0
+    # the traced round trip crosses the roof once per origin shift each way
+    fresh = workloads.Exact(7, tmp_path)
+    u, t, _ = fresh.next_inputs()
+    p = gauss.sample_mu2(fresh.points, depth=fresh.depth)
+    end = flow.flow_evolve(flow.FlowPoint(p, u * flow.roof_phi(p)), t)
+    assert tracer.crossings() == 2 * (end.base._origin - p._origin)
 
 
 def test_exact_ops_reproduce_their_pinned_outputs(monkeypatch, tmp_path):

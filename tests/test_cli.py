@@ -590,7 +590,7 @@ def test_a_flow_that_runs_out_of_past_names_its_budget(capsys):
     assert main(["flow", "--t", "-40", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: no backward information: flow for t=-36.0 made 28 crossings "
+        "error: no backward information: flow for t=-40.0 made 28 crossings "
         "from a point with 28 past and 64 future digits\n"
     )
 

@@ -5,7 +5,7 @@ import re
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfrenewal import gauss
@@ -13,6 +13,7 @@ from cfrenewal.cf import convergents, window_value
 from cfrenewal.errors import InsufficientDigits
 from cfrenewal.flow import (
     FlowPoint,
+    _walk,
     birkhoff_sum,
     correction_f,
     flow_evolve,
@@ -376,6 +377,46 @@ def test_crossings_read_no_coordinate_property(monkeypatch):
     assert moves == {"step": crossings, "inverse": crossings}
     assert evaluated == []  # no roof read the property
     assert back.base.alpha_minus == p.alpha_minus
+
+
+@st.composite
+def flow_points(draw):
+    """A sampled, a from_values or the golden point, at a height below its roof."""
+    kind = draw(st.sampled_from(["sampled", "values", "golden"]))
+    if kind == "sampled":
+        seed = draw(st.integers(0, 2**32 - 1))
+        p = sample_mu2(substream(seed, 15), depth=draw(st.integers(1, 80)))
+    elif kind == "values":
+        p = NaturalExtPoint.from_values(draw(coords), draw(coords))
+    else:
+        p = NaturalExtPoint.golden()
+    height = draw(st.floats(0.0, 1.0, exclude_max=True)) * roof_phi(p)
+    return FlowPoint(p, height if height < roof_phi(p) else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp=flow_points(), t=st.floats(-256.0, 256.0))
+@example(fp=FlowPoint(NaturalExtPoint.golden(), 0.0), t=256.0)  # off the future
+@example(fp=FlowPoint(NaturalExtPoint.golden(), 0.0), t=-256.0)  # off the past
+@example(  # back to a roof from below: the snap and the floor clamp
+    fp=flow_evolve(FlowPoint(sample_mu2(substream(1, 0), depth=64), 0.0), -3.0), t=3.0
+)
+def test_walk_is_flow_evolve_on_integers(fp, t):
+    # the same end origin, exact pairs and height bits, or the same error
+    try:
+        end = flow_evolve(fp, t)
+    except InsufficientDigits as exc:
+        with pytest.raises(InsufficientDigits) as raised:
+            _walk(fp, t)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    origin, minus_nd, plus_nd, height = _walk(fp, t)
+    assert end.base._line is fp.base._line
+    assert origin == end.base._origin
+    assert minus_nd == end.base._minus_nd
+    assert plus_nd == end.base._plus_nd
+    assert height.hex() == end.height.hex()
 
 
 @settings(max_examples=60, deadline=None)

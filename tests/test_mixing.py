@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cfrenewal import mixing
+from cfrenewal import gauss, mixing
 from cfrenewal.cf import (
     RenewalResult,
     convergents,
@@ -20,8 +20,8 @@ from cfrenewal.cf import (
     renewal_index,
 )
 from cfrenewal.errors import InvalidDigits, InvalidSampleCount, OutOfChart, Unreachable
-from cfrenewal.flow import FlowPoint
-from cfrenewal.gauss import Cylinder, NaturalExtPoint
+from cfrenewal.flow import FlowPoint, flow_evolve, roof_phi
+from cfrenewal.gauss import Cylinder, NaturalExtPoint, sample_mu2
 from cfrenewal.limitlaw import theoretical_pn
 from cfrenewal.mixing import (
     BoxSpec,
@@ -31,6 +31,7 @@ from cfrenewal.mixing import (
     holonomy_invariant,
     stable_leaf_point,
 )
+from cfrenewal.streams import substream
 
 
 def _fp(am, ap, y):
@@ -149,6 +150,47 @@ def test_stable_pairs_contract_forward():
     assert d0 > 0.1
     assert d10 < 1e-8
     assert d20 < 1e-12
+
+
+def _pair_distance_by_points(fp1, fp2, t):
+    # the pair distance as points compute it: flow both, step the laggard
+    q1, q2 = flow_evolve(fp1, t), flow_evolve(fp2, t)
+    n1 = q1.base._origin - fp1.base._origin
+    n2 = q2.base._origin - fp2.base._origin
+
+    def coords(fp, extra):
+        base, y = fp.base, fp.height
+        for _ in range(extra):
+            y -= roof_phi(base)
+            base = base.step()
+        return base.alpha_minus, base.alpha_plus, y
+
+    c1, c2 = coords(q1, max(0, n2 - n1)), coords(q2, max(0, n1 - n2))
+    return max(abs(a - b) for a, b in zip(c1, c2))
+
+
+def test_pair_distance_builds_no_point(monkeypatch):
+    # criterion 9's stable pairs: mid-fiber points and their leaf partners
+    rng = substream(31, 16)
+    pairs = []
+    while len(pairs) < 20:
+        p = sample_mu2(rng, depth=128)
+        fp = FlowPoint(p, 0.5 * roof_phi(p))
+        try:
+            pairs.append((fp, stable_leaf_point(fp, 0.25 + 0.5 * p.alpha_minus)))
+        except OutOfChart:
+            pass
+    expected = [_pair_distance_by_points(fp, fp2, 30.0) for fp, fp2 in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow_pair_distance built a point")
+
+    for name in ("step", "inverse"):
+        monkeypatch.setattr(NaturalExtPoint, name, refuse)
+    monkeypatch.setattr(gauss, "_shifted", refuse)
+    got = [flow_pair_distance(fp, fp2, 30.0) for fp, fp2 in pairs]
+    assert got == expected
+    assert max(got) <= 1e-6
 
 
 def test_unstable_pairs_expand_forward():
